@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -138,7 +139,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.command in ("verify", "slices") and merged.get("L") is None:
         raise ConfigError(f"{args.command} needs --L")
 
-    return RunConfig(
+    cfg = RunConfig(
         command=args.command,
         oracle=str(merged["oracle"]),
         params=tuple(float(p) for p in merged.get("params", [])),
@@ -156,6 +157,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         out=merged.get("out"),
         csv=merged.get("csv"),
     )
+    for key in ("claimed_L", "L"):
+        value = getattr(cfg, key)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
+    for key in ("pairs", "n_functionals", "fd_pairs"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)!r}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def _write_csv(log: ProbeLog, path: str) -> None:
         writer.writerow(["probe_index", "n", "gap", "spread", "ratio", "kind"])
         for i, (kind, r) in enumerate(log.rows):
             writer.writerow(
-                [i, r.config.n, repr(r.gap), repr(r.spread),
+                [i, r.n, repr(r.gap), repr(r.spread),
                  "" if r.ratio is None else repr(r.ratio), kind]
             )
 

@@ -7,18 +7,17 @@ probe-based estimate against the independent finite-difference route.
 
 Probes are drawn in batches of 512, each batch owning its own generator
 spawned from (seed, stream, batch index).  The probe sequence therefore
-depends only on the budget and seed, never on the worker count, and the
-max-ratio reduction breaks ties by stream position, so certificates are
-bit-identical across reruns and thread counts.
+depends only on the budget and seed, the batched probe kernel returns
+what per-pair probing would, and the max-ratio reduction breaks ties by
+stream position, so certificates are bit-identical across reruns and
+batch sizes.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,20 +48,30 @@ _ASCENT_SHRINK = 0.7
 _ASCENT_LEVELS = 8
 
 
+class ProbeRow(NamedTuple):
+    """What a report keeps of one probe."""
+
+    n: int
+    gap: float
+    spread: float
+    ratio: float | None
+
+
 class ProbeLog:
-    """Counts probes; optionally keeps (kind, result) rows for reports."""
+    """Counts probes; optionally keeps (kind, ProbeRow) rows for reports."""
 
     __slots__ = ("count", "rows", "collect")
 
     def __init__(self, collect: bool = False):
         self.count = 0
         self.collect = collect
-        self.rows: list[tuple[str, ProbeResult]] = []
+        self.rows: list[tuple[str, ProbeRow]] = []
 
     def add(self, kind: str, result: ProbeResult) -> None:
         self.count += 1
         if self.collect:
-            self.rows.append((kind, result))
+            row = ProbeRow(result.config.n, result.gap, result.spread, result.ratio)
+            self.rows.append((kind, row))
 
 
 class NoInformativeProbeError(RuntimeError):
@@ -139,13 +148,6 @@ def stream_rng(seed: int, stream: int, batch: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, batch)))
 
 
-def _worker_count() -> int:
-    env = os.environ.get("HESSFREE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def informative_floor(r: ProbeResult) -> float:
     return INFORMATIVE_SPREAD_COEFF * (1.0 + r.point_scale) ** 2
 
@@ -182,20 +184,10 @@ def sample_configuration(
     return Configuration(pts, SimplexWeights(w))
 
 
-def _batched(total: int, fn_batch: Callable[[int, int, int], list], workers: int) -> Iterator:
-    """Run fn_batch(batch_index, start, count) over ceil(total/_BATCH)
-    batches, yielding results in batch order regardless of worker count."""
-    n_batches = (total + _BATCH - 1) // _BATCH
-    args = [
-        (b, b * _BATCH, min(_BATCH, total - b * _BATCH)) for b in range(n_batches)
-    ]
-    if workers <= 1 or n_batches <= 1:
-        for a in args:
-            yield from fn_batch(*a)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(lambda a: fn_batch(*a), args):
-            yield from chunk
+def _batches(total: int) -> Iterator[tuple[int, int]]:
+    """(batch index, probe count) of the ceil(total / _BATCH) batches."""
+    for b, start in enumerate(range(0, total, _BATCH)):
+        yield b, min(_BATCH, total - start)
 
 
 # probes evaluated inside one best_t_probe call: 31 grid + 2 + 20 golden
@@ -203,40 +195,34 @@ _T_PROBES_PER_PAIR = 53
 
 
 def _two_point_results(
-    F: VectorOracle, budget: SearchBudget, log: ProbeLog, workers: int
+    F: VectorOracle, budget: SearchBudget, log: ProbeLog
 ) -> Iterator[ProbeResult]:
     scale = budget.domain_radius / math.sqrt(F.dim_in)
-
-    def batch(b: int, start: int, count: int) -> list[ProbeResult]:
+    for b, count in _batches(budget.two_point_pairs):
         rng = stream_rng(budget.seed, STREAM_PAIRS, b)
-        out = []
-        for _ in range(count):
-            x = rng.standard_normal(F.dim_in) * scale
-            y = rng.standard_normal(F.dim_in) * scale
-            out.append(best_t_probe(F, x, y, min_spread_coeff=INFORMATIVE_SPREAD_COEFF))
-        return out
-
-    for r in _batched(budget.two_point_pairs, batch, workers):
-        # only the per-pair maximum is kept as a row; count all evals
-        log.count += _T_PROBES_PER_PAIR - 1
-        log.add("two_point", r)
-        yield r
+        # x then y for each pair, in the generator's draw order
+        xy = rng.standard_normal((count, 2, F.dim_in)) * scale
+        for r in best_t_probe(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF):
+            # only the per-pair maximum is kept as a row; count all evals
+            log.count += _T_PROBES_PER_PAIR - 1
+            log.add("two_point", r)
+            yield r
 
 
 def _config_results(
-    F: VectorOracle, budget: SearchBudget, log: ProbeLog, workers: int
+    F: VectorOracle, budget: SearchBudget, log: ProbeLog
 ) -> Iterator[ProbeResult]:
-    def batch(b: int, start: int, count: int) -> list[ProbeResult]:
+    for b, count in _batches(budget.random_configs):
         rng = stream_rng(budget.seed, STREAM_CONFIGS, b)
-        out = []
-        for _ in range(count):
-            c = sample_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius)
-            out.append(jensen_probe(F, c))
-        return out
-
-    for r in _batched(budget.random_configs, batch, workers):
-        log.add("config", r)
-        yield r
+        # probed whole before any is yielded, like a two-point batch, so a
+        # stop takes effect at batch granularity in both phases
+        batch = [
+            jensen_probe(F, sample_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius))
+            for _ in range(count)
+        ]
+        for r in batch:
+            log.add("config", r)
+            yield r
 
 
 def _ascend(
@@ -291,16 +277,14 @@ def _search(
     budget: SearchBudget,
     log: ProbeLog,
     stop: Callable[[ProbeResult], bool] | None,
-    workers: int | None,
 ) -> tuple[ProbeResult | None, ProbeResult | None]:
     """Shared two-point + random-config + ascent pipeline.
 
     Returns (best informative probe, first probe satisfying stop).
     """
-    workers = _worker_count() if workers is None else workers
     best: ProbeResult | None = None
     for phase in (_two_point_results, _config_results):
-        for r in phase(F, budget, log, workers):
+        for r in phase(F, budget, log):
             if stop is not None and stop(r):
                 return best, r
             if best is None or _candidate_ratio(r) > _candidate_ratio(best):
@@ -318,7 +302,6 @@ def estimate_L(
     F: VectorOracle | ScalarOracle,
     budget: SearchBudget,
     log: ProbeLog | None = None,
-    workers: int | None = None,
 ) -> LowerBoundCertificate:
     """Lower-bound the Lipschitz constant of F' by the best probe ratio.
 
@@ -327,7 +310,7 @@ def estimate_L(
     """
     F = as_vector_oracle(F)
     log = log if log is not None else ProbeLog()
-    best, _ = _search(F, budget, log, stop=None, workers=workers)
+    best, _ = _search(F, budget, log, stop=None)
     if best is None or _candidate_ratio(best) == -math.inf:
         raise NoInformativeProbeError(
             f"no informative probe for {F.label!r}: every sampled spread "
@@ -347,7 +330,6 @@ def falsify(
     claimed_l: float,
     budget: SearchBudget,
     log: ProbeLog | None = None,
-    workers: int | None = None,
 ) -> ViolationCertificate | None:
     """Search for a probe violating gap <= (claimed_L / 2) spread.
 
@@ -355,11 +337,11 @@ def falsify(
     exhausted.  None is *not* a proof that claimed_l is valid; it only
     means this search found no counterexample.
     """
-    if claimed_l < 0.0:
-        raise ValueError("claimed_l must be >= 0")
+    if not (math.isfinite(claimed_l) and claimed_l >= 0.0):
+        raise ValueError(f"claimed_l must be finite and >= 0, got {claimed_l!r}")
     F = as_vector_oracle(F)
     log = log if log is not None else ProbeLog()
-    _, hit = _search(F, budget, log, stop=lambda r: violates(r, claimed_l), workers=workers)
+    _, hit = _search(F, budget, log, stop=lambda r: violates(r, claimed_l))
     if hit is None:
         return None
     return ViolationCertificate(
@@ -386,12 +368,11 @@ def cross_validate(
     budget: SearchBudget,
     fd_pairs: int = 10_000,
     log: ProbeLog | None = None,
-    workers: int | None = None,
 ) -> CrossValidationReport:
     """Probe-based estimate vs the finite-difference derivative estimate
     on the same domain; consistent iff L_probe <= L_fd (1 + CV_TOL) up to
     an absolute floor."""
-    cert = estimate_L(o, budget, log=log, workers=workers)
+    cert = estimate_L(o, budget, log=log)
     sampler = DomainSampler(
         o.dim if isinstance(o, ScalarOracle) else o.dim_in, budget.domain_radius
     )

@@ -364,18 +364,36 @@ def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
     return (gp - gm) / (2.0 * h)
 
 
+def central_differences(
+    fn: Callable[[np.ndarray], np.ndarray], x: Matrix, steps: Matrix
+) -> np.ndarray:
+    """Derivatives of a batch-capable map at the rows of x (B, d) by
+    central differences (fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k)
+    with per-coordinate steps h = steps (B, d); a (B, m, d) stack."""
+    shift = steps[:, :, None] * np.eye(x.shape[1])
+    fp = np.asarray(fn(x[:, None, :] + shift), dtype=np.float64)
+    fm = np.asarray(fn(x[:, None, :] - shift), dtype=np.float64)
+    if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
+        raise ValueError("non-finite oracle value in finite difference")
+    return ((fp - fm) / (2.0 * steps[:, :, None])).transpose(0, 2, 1)
+
+
+def _gradient_steps(x: Matrix) -> Matrix:
+    """sqrt(eps) (1 + ||x||) on every coordinate of each row."""
+    h = FD_GRAD_STEP * (1.0 + np.array([norm2(v) for v in x]))
+    return np.repeat(h[:, None], x.shape[1], axis=1)
+
+
+def _value_steps(x: Matrix) -> Matrix:
+    """cbrt(eps) max(1, |x_i|) per coordinate."""
+    return FD_VALUE_STEP * np.maximum(1.0, np.abs(x))
+
+
 def fd_hessian(o: ScalarOracle, x: Vector) -> Matrix:
-    """Full Hessian from fd_hessian_vec applied to the basis vectors,
-    batched into two gradient calls."""
-    x = as_point(x)
-    d = x.size
-    h = FD_GRAD_STEP * (1.0 + norm2(x))  # basis directions have norm 1
-    shift = h * np.eye(d)
-    gp = np.asarray(o.gradient(x + shift), dtype=np.float64)
-    gm = np.asarray(o.gradient(x - shift), dtype=np.float64)
-    if not (np.isfinite(gp).all() and np.isfinite(gm).all()):
-        raise ValueError("non-finite gradient in finite difference")
-    return ((gp - gm) / (2.0 * h)).T
+    """Full Hessian by central differences of the gradient along the
+    basis vectors, step sqrt(eps) (1 + ||x||)."""
+    x = as_point(x)[None, :]
+    return central_differences(o.gradient, x, _gradient_steps(x))[0]
 
 
 def fd_jacobian(F: VectorOracle, x: Vector) -> Matrix:
@@ -384,13 +402,8 @@ def fd_jacobian(F: VectorOracle, x: Vector) -> Matrix:
     x = as_point(x)
     if x.size != F.dim_in:
         raise ValueError("dimension mismatch")
-    h = FD_VALUE_STEP * np.maximum(1.0, np.abs(x))
-    shift = np.diag(h)
-    fp = np.asarray(F.eval(x + shift), dtype=np.float64)
-    fm = np.asarray(F.eval(x - shift), dtype=np.float64)
-    if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-        raise ValueError("non-finite oracle value in finite difference")
-    return ((fp - fm) / (2.0 * h[:, None])).T
+    x = x[None, :]
+    return central_differences(F.eval, x, _value_steps(x))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +462,36 @@ def operator_norm(apply: Callable[[Vector], Vector], dim_in: int) -> float:
 # ---------------------------------------------------------------------------
 
 _MIN_PAIR_DIST = 1e-9
+_FD_CHUNK = 512  # pairs per batched FD step: bounds the working set
+
+
+def _lip_from_derivatives(
+    derivative: Callable[[Matrix], np.ndarray],
+    sampler: DomainSampler,
+    budget: int,
+    rng: np.random.Generator,
+) -> float:
+    """max over budget sampled pairs of ||D(x) - D(y)|| / ||x - y|| in
+    the exact spectral norm, where derivative maps points (B, d) to
+    derivative matrices (B, m, d).  Pairs are drawn x then y from rng,
+    _FD_CHUNK at a time; pairs closer than _MIN_PAIR_DIST are skipped."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if sampler.radius <= 0.0:
+        raise ValueError("degenerate sampler domain")
+    best = 0.0
+    for start in range(0, budget, _FD_CHUNK):
+        n = min(_FD_CHUNK, budget - start)
+        pairs = sampler.uniform(rng, 2 * n).reshape(n, 2, sampler.dim)
+        dist = np.array([norm2(x - y) for x, y in pairs])
+        keep = dist >= _MIN_PAIR_DIST
+        if not keep.any():
+            continue
+        pairs, dist = pairs[keep], dist[keep]
+        jac = derivative(pairs.reshape(-1, sampler.dim)).reshape(len(pairs), 2, -1, sampler.dim)
+        norms = np.linalg.norm(jac[:, 0] - jac[:, 1], 2, axis=(1, 2))
+        best = max(best, float((norms / dist).max()))
+    return best
 
 
 def lip_from_hessians(
@@ -459,29 +502,10 @@ def lip_from_hessians(
 ) -> float:
     """max over sampled pairs of ||H(x) - H(y)|| / ||x - y|| with
     finite-difference Hessians; an empirical lower estimate of the
-    Hessian-Lipschitz constant on the sampler's box.
-
-    Pairs with near-tied difference spectra make the power iteration
-    stop at the tie width; that still under-estimates by at most the
-    tie gap, which cannot affect the max, so the non-convergence
-    warning is silenced here.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if sampler.radius <= 0.0:
-        raise ValueError("degenerate sampler domain")
-    best = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(budget):
-            x = sampler.uniform(rng)
-            y = sampler.uniform(rng)
-            dist = norm2(x - y)
-            if dist < _MIN_PAIR_DIST:
-                continue
-            diff = fd_hessian(o, x) - fd_hessian(o, y)
-            best = max(best, _spectral_norm(diff) / dist)
-    return best
+    Hessian-Lipschitz constant on the sampler's box."""
+    return _lip_from_derivatives(
+        lambda x: central_differences(o.gradient, x, _gradient_steps(x)), sampler, budget, rng
+    )
 
 
 def lip_from_jacobians(
@@ -491,19 +515,6 @@ def lip_from_jacobians(
     rng: np.random.Generator,
 ) -> float:
     """Same estimate for vector-valued maps, via FD Jacobians."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if sampler.radius <= 0.0:
-        raise ValueError("degenerate sampler domain")
-    best = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(budget):
-            x = sampler.uniform(rng)
-            y = sampler.uniform(rng)
-            dist = norm2(x - y)
-            if dist < _MIN_PAIR_DIST:
-                continue
-            diff = fd_jacobian(F, x) - fd_jacobian(F, y)
-            best = max(best, _spectral_norm(diff) / dist)
-    return best
+    return _lip_from_derivatives(
+        lambda x: central_differences(F.eval, x, _value_steps(x)), sampler, budget, rng
+    )

@@ -29,6 +29,7 @@ SPREAD_FLOOR_COEFF = 1e-14
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _T_GRID = 32
 _GOLDEN_ITERS = 20
+_GRID_CHUNK = 64  # pairs per grid scan: bounds the (pairs, 31, d) working set
 
 
 @dataclass(frozen=True)
@@ -83,76 +84,96 @@ def two_point_probe(F: VectorOracle, x: Vector, y: Vector, t: float) -> ProbeRes
     return jensen_probe(F, c)
 
 
-def _score(r: ProbeResult) -> float:
-    return r.ratio if r.ratio is not None else -math.inf
+def _ratios(F: VectorOracle, x, y, fx, fy, d2, floor, ts: np.ndarray) -> np.ndarray:
+    """(B, T) two-point ratios of the pairs (x[i], y[i]) at t = ts[i, k]
+    in one F.eval; ts broadcasts to (B, T).  -inf where the spread is at
+    or below floor[i]."""
+    xbars = (1.0 - ts)[..., None] * x[:, None, :] + ts[..., None] * y[:, None, :]
+    centers = np.asarray(F.eval(xbars), dtype=np.float64)
+    if not np.isfinite(centers).all():
+        raise ValueError(f"non-finite output from oracle {F.label!r}")
+    resid = centers - ((1.0 - ts)[..., None] * fx[:, None, :] + ts[..., None] * fy[:, None, :])
+    # row-wise over the flattened (B T, m) residuals: the reduction a
+    # single pair's (T, m) scan makes, so batching moves no ratio by an ulp
+    flat = resid.reshape(-1, resid.shape[-1])
+    gaps = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(resid.shape[:-1])
+    spreads = ts * (1.0 - ts) * d2[:, None]
+    ratios = np.full(spreads.shape, -math.inf)
+    ok = spreads > floor[:, None]
+    ratios[ok] = 2.0 * gaps[ok] / spreads[ok]
+    return ratios
+
+
+def _keep_max(best_t, best_r, t, r):
+    better = r > best_r
+    return np.where(better, t, best_t), np.where(better, r, best_r)
 
 
 def best_t_probe(
     F: VectorOracle, x: Vector, y: Vector, min_spread_coeff: float = 0.0
-) -> ProbeResult:
+) -> ProbeResult | list[ProbeResult]:
     """Maximize the two-point ratio over t: coarse grid t = k/32
     (k = 1..31), then golden-section refinement over the bracketing
     interval around the best grid point.
 
-    The scan shares F(x), F(y) and the pair geometry across all t; the
-    winning t is then re-evaluated through two_point_probe so the
-    returned result is replayable bit-for-bit.  min_spread_coeff, when
-    positive, declares t values with spread below
+    x and y are one pair of points (d,), returning one result, or stacks
+    (B, d) of B pairs, returning B results; the pairs of a stack run the
+    grid and every golden-section step in lockstep, bit-identical to
+    probing them one at a time.  The scan shares F(x), F(y) and the pair
+    geometry across all t; each winning t is then re-evaluated through
+    two_point_probe so the returned result is replayable bit-for-bit.
+    min_spread_coeff, when positive, declares t values with spread below
     min_spread_coeff * (1 + max norm)^2 uninformative for the scan.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape != y.shape:
+    single = np.ndim(x) <= 1
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+    y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 2:
         raise ValueError("x and y must have equal dimension")
-    fvals = np.asarray(F.eval(np.stack([x, y])), dtype=np.float64)
+    fvals = np.asarray(F.eval(np.stack([x, y], axis=1)), dtype=np.float64)
     if not np.isfinite(fvals).all():
         raise ValueError(f"non-finite output from oracle {F.label!r}")
-    fx, fy = fvals[0], fvals[1]
-    d2 = float((x - y) @ (x - y))
-    ps = max(float(np.sqrt(x @ x)), float(np.sqrt(y @ y)))
-    floor = max(SPREAD_FLOOR_COEFF, min_spread_coeff) * (1.0 + ps) ** 2
+    fx, fy = fvals[:, 0], fvals[:, 1]
+    # per-pair dot products, as the single-pair scan computes them
+    coeff = max(SPREAD_FLOOR_COEFF, min_spread_coeff)
+    d2 = np.empty(len(x))
+    floor = np.empty(len(x))
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        d2[i] = (xi - yi) @ (xi - yi)
+        ps = max(float(np.sqrt(xi @ xi)), float(np.sqrt(yi @ yi)))
+        floor[i] = coeff * (1.0 + ps) ** 2
 
-    def scan(ts: np.ndarray) -> np.ndarray:
-        xbars = (1.0 - ts)[:, None] * x[None, :] + ts[:, None] * y[None, :]
-        centers = np.asarray(F.eval(xbars), dtype=np.float64)
-        if not np.isfinite(centers).all():
-            raise ValueError(f"non-finite output from oracle {F.label!r}")
-        resid = centers - ((1.0 - ts)[:, None] * fx[None, :] + ts[:, None] * fy[None, :])
-        gaps = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-        spreads = ts * (1.0 - ts) * d2
-        ratios = np.full(ts.size, -math.inf)
-        ok = spreads > floor
-        ratios[ok] = 2.0 * gaps[ok] / spreads[ok]
-        return ratios
+    def scan(ts, rows=slice(None)):
+        return _ratios(F, x[rows], y[rows], fx[rows], fy[rows], d2[rows], floor[rows], ts)
 
     grid = np.arange(1, _T_GRID) / _T_GRID
-    ratios = scan(grid)
-    best_k = int(np.argmax(ratios))
-    best_t = float(grid[best_k])
-    best_r = float(ratios[best_k])
+    ratios = np.concatenate([
+        scan(grid[None, :], slice(i, i + _GRID_CHUNK))
+        for i in range(0, len(x), _GRID_CHUNK)
+    ])
+    best_k = np.argmax(ratios, axis=1)
+    best_t = grid[best_k]
+    best_r = ratios[np.arange(len(x)), best_k]
 
-    a = (best_k) / _T_GRID  # == grid[best_k] - 1/32
+    a = best_k / _T_GRID  # == grid[best_k] - 1/32
     b = (best_k + 2) / _T_GRID
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    rc = float(scan(np.array([c]))[0])
-    rd = float(scan(np.array([d]))[0])
+    rc = scan(c[:, None])[:, 0]
+    rd = scan(d[:, None])[:, 0]
     for _ in range(_GOLDEN_ITERS):
-        for t_new, r_new in ((c, rc), (d, rd)):
-            if r_new > best_r:
-                best_t, best_r = t_new, r_new
-        if rc >= rd:
-            b, d, rd = d, c, rc
-            c = b - _GOLDEN * (b - a)
-            rc = float(scan(np.array([c]))[0])
-        else:
-            a, c, rc = c, d, rd
-            d = a + _GOLDEN * (b - a)
-            rd = float(scan(np.array([d]))[0])
-    for t_new, r_new in ((c, rc), (d, rd)):
-        if r_new > best_r:
-            best_t, best_r = t_new, r_new
-    return two_point_probe(F, x, y, best_t)
+        best_t, best_r = _keep_max(best_t, best_r, c, rc)
+        best_t, best_r = _keep_max(best_t, best_r, d, rd)
+        left = rc >= rd  # the maximum lies in [a, d]: drop (d, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        t = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        r = scan(t[:, None])[:, 0]
+        c, rc, d, rd = (np.where(left, t, d), np.where(left, r, rd),
+                        np.where(left, c, t), np.where(left, rc, r))
+    best_t, best_r = _keep_max(best_t, best_r, c, rc)
+    best_t, best_r = _keep_max(best_t, best_r, d, rd)
+    out = [two_point_probe(F, xi, yi, float(t)) for xi, yi, t in zip(x, y, best_t)]
+    return out[0] if single else out
 
 
 def midpoint_convexity_violation(g, x: Vector, y: Vector) -> float:

@@ -22,6 +22,7 @@ Matrix: TypeAlias = NDArray[np.float64]
 # weight sums further off than this are treated as caller bugs, closer
 # deviations as I/O rounding and silently renormalized
 WEIGHT_SUM_SLACK = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_point(x) -> Vector:
@@ -56,7 +57,8 @@ class SimplexWeights:
     """Nonnegative weights on the probability simplex.
 
     Constructors renormalize when the sum is within WEIGHT_SUM_SLACK of 1
-    and reject larger deviations.
+    and reject larger deviations.  Stored weights construct to themselves,
+    so weights read back from a report replay a probe bit for bit.
     """
 
     weights: Vector
@@ -72,8 +74,15 @@ class SimplexWeights:
         s = float(w.sum())
         if abs(s - 1.0) > WEIGHT_SUM_SLACK:
             raise ValueError(f"weights sum to {s!r}, not 1")
-        if s != 1.0:
-            w = w / s
+        while s != 1.0:
+            # w / s need not sum to exactly 1 either, and dividing again
+            # would move it once more; weights off from 1 by rounding alone
+            # are kept as they are unless the division lands exactly
+            scaled = w / s
+            s_scaled = float(scaled.sum())
+            if s_scaled != 1.0 and abs(s - 1.0) <= 2.0 * w.size * _EPS:
+                break
+            w, s = scaled, s_scaled
         w = w.copy() if w is self.weights else w
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -147,6 +147,36 @@ class TestSlicesCommand:
         assert load(out)["verdicts"]["lipschitz_transfer"] is False
 
 
+class TestBadInput:
+    """Every out-of-range option exits 2 with a message naming it."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--pairs", "0"], "pairs"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "nan"], "L"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "-1"], "L"),
+        (["verify", "--oracle", "cubic1d", "--params", "1", "--L", "inf"], "L"),
+        (["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "nan"], "claimed_L"),
+        (["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "inf"], "claimed_L"),
+        (["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "-1"], "claimed_L"),
+        (["verify", "--oracle", "cubic1d", "--params", "1", "--L", "1", "--n-functionals", "0"],
+         "n_functionals"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--n-functionals", "0"],
+         "n_functionals"),
+        (["estimate", "--oracle", "cubic1d", "--params", "1", "--fd-pairs", "0"], "fd_pairs"),
+    ])
+    def test_rejected_with_exit_2(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--seed", "1", "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_value_checked(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oracle": "poly_map_2d", "seed": 1, "L": 2.0, "pairs": -3}))
+        assert run(["slices", "--config", str(cfg_path)]) == 2
+        assert "pairs must be" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_file_roundtrip(self, tmp_path):
         cfg = {

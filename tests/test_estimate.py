@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hessfree.estimate import (
+    INFORMATIVE_SPREAD_COEFF,
     NoInformativeProbeError,
     ProbeLog,
     SearchBudget,
@@ -11,7 +14,17 @@ from hessfree.estimate import (
     replay,
     violates,
 )
-from hessfree.oracles import builtin
+from hessfree.oracles import as_vector_oracle, builtin
+from hessfree.probe import best_t_probe
+from hessfree.vecspace import Configuration, SimplexWeights
+
+ZOO = {
+    "cubic1d": ("cubic1d", [1.0]),
+    "sc2": ("separable_cubic", [3.0, 1.0]),
+    "poly_map_2d": ("poly_map_2d", []),
+    "sc8": ("separable_cubic", [3.0, 1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 1.5]),
+    "norm_cubed": ("norm_cubed", []),
+}
 
 
 def small_budget(**kw):
@@ -87,6 +100,16 @@ class TestEstimateL:
         assert r.spread == cert.witness.spread
         assert r.ratio == cert.witness.ratio
 
+    def test_witness_replays_from_its_report_values(self):
+        # this seed's witness has weights whose renormalized sum misses 1
+        # by an ulp; rebuilt from plain lists it must still replay exactly
+        o = builtin("separable_cubic", [3.0, 1.0])
+        w = estimate_L(o, SearchBudget(seed=3325066421)).witness
+        c = Configuration(np.array(w.config.points.tolist()),
+                          SimplexWeights(np.array(w.config.weights.weights.tolist())))
+        r = replay(dataclasses.replace(w, config=c), o)
+        assert (r.gap, r.spread, r.ratio) == (w.gap, w.spread, w.ratio)
+
     def test_no_informative_probe(self):
         # radius 0 puts every point at the origin: all spreads degenerate
         o = builtin("cubic1d", [1.0])
@@ -107,13 +130,33 @@ class TestDeterminism:
             c1.witness.config.weights.weights, c2.witness.config.weights.weights
         )
 
-    def test_worker_count_invariance(self):
-        o = builtin("poly_map_2d")
-        b = small_budget()
-        c1 = estimate_L(o, b, workers=1)
-        c4 = estimate_L(o, b, workers=4)
-        assert c1.l_lower == c4.l_lower
-        np.testing.assert_array_equal(c1.witness.config.points, c4.witness.config.points)
+    @pytest.mark.parametrize("key", ZOO)
+    def test_batch_size_invariance(self, key):
+        # a (B, d) stack of pairs gives, bit for bit, the B single-pair scans
+        F = as_vector_oracle(builtin(*ZOO[key]))
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((150, F.dim_in)) * 3.0
+        y = rng.standard_normal((150, F.dim_in)) * 3.0
+        stacked = best_t_probe(F, x, y, min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+        assert len(stacked) == len(x)
+        for xi, yi, r in zip(x, y, stacked):
+            one = best_t_probe(F, xi, yi, min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+            assert (r.gap, r.spread, r.ratio) == (one.gap, one.spread, one.ratio)
+            np.testing.assert_array_equal(r.config.points, one.config.points)
+            np.testing.assert_array_equal(r.config.weights.weights, one.config.weights.weights)
+
+
+class TestPinnedCertificates:
+    """Certificates at the default budget and seed 42, pinned to the bit."""
+
+    @pytest.mark.parametrize("key, l_lower", [
+        ("cubic1d", 1.0000000000022082),
+        ("sc2", 2.999999999998718),
+        ("poly_map_2d", 1.99999999999961),
+        ("sc8", 2.9999154763693276),
+    ])
+    def test_default_budget_l_lower(self, key, l_lower):
+        assert estimate_L(builtin(*ZOO[key]), SearchBudget(seed=42)).l_lower == l_lower
 
 
 class TestMonotonicity:
@@ -166,6 +209,11 @@ class TestFalsify:
     def test_negative_claim_rejected(self):
         with pytest.raises(ValueError):
             falsify(builtin("quadratic"), -1.0, small_budget())
+
+    @pytest.mark.parametrize("claim", [float("nan"), float("inf")])
+    def test_non_finite_claim_rejected(self, claim):
+        with pytest.raises(ValueError, match="finite"):
+            falsify(builtin("quadratic"), claim, small_budget())
 
     def test_none_when_claim_at_least_estimate(self):
         o = builtin("separable_cubic", [3.0, 1.0])
@@ -221,3 +269,4 @@ class TestProbeLog:
         assert log.count > 0
         kinds = {k for k, _ in log.rows}
         assert "two_point" in kinds and "config" in kinds
+        assert {r.n for k, r in log.rows if k == "two_point"} == {2}

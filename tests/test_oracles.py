@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from hessfree.estimate import STREAM_FD, stream_rng
 from hessfree.oracles import (
     BUILTIN_NAMES,
     DomainSampler,
+    FD_GRAD_STEP,
+    FD_VALUE_STEP,
     ScalarOracle,
     builtin,
+    central_differences,
     fd_gradient,
     fd_hessian,
     fd_hessian_vec,
@@ -216,6 +220,20 @@ class TestFdJacobian:
         j = fd_jacobian(F, np.array([1.0, 1.0]))
         np.testing.assert_allclose(j, [[2.0, 0.0], [1.0, 1.0]], atol=1e-8)
 
+    def test_single_point_routes_equal_batched_kernel_rows(self):
+        rng = np.random.default_rng(3)
+        for o in scalar_builtins():
+            x = rng.uniform(-5, 5, (6, o.dim))
+            h = FD_GRAD_STEP * (1.0 + np.array([np.sqrt(v @ v) for v in x]))
+            rows = central_differences(o.gradient, x, np.repeat(h[:, None], o.dim, axis=1))
+            for xi, row in zip(x, rows):
+                np.testing.assert_array_equal(fd_hessian(o, xi), row)
+        F = builtin("poly_map_2d")
+        x = rng.uniform(-5, 5, (6, 2))
+        rows = central_differences(F.eval, x, FD_VALUE_STEP * np.maximum(1.0, np.abs(x)))
+        for xi, row in zip(x, rows):
+            np.testing.assert_array_equal(fd_jacobian(F, xi), row)
+
     def test_consistent_with_hessian_for_gradient_map(self):
         o = builtin("separable_cubic", [3.0, 1.0])
         x = np.array([0.5, -1.5])
@@ -258,6 +276,25 @@ class TestLipFromHessians:
         o = builtin("cubic1d", [1.0])
         with pytest.raises(ValueError, match="degenerate"):
             lip_from_hessians(o, DomainSampler(1, radius=0.0), 10, np.random.default_rng(0))
+
+
+class TestPinnedFdRoute:
+    """The cross-check's FD route at 10^4 pairs from stream_rng(42, STREAM_FD, 0)."""
+
+    @pytest.mark.parametrize("name, params, l_fd", [
+        ("cubic1d", [1.0], 1.0000044984191288),
+        ("separable_cubic", [3.0, 1.0], 3.0000000097033257),
+        ("separable_cubic", [3.0, 1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 1.5], 2.785866381098804),
+    ])
+    def test_scalar_oracles_exact(self, name, params, l_fd):
+        o = builtin(name, params)
+        rng = stream_rng(42, STREAM_FD, 0)
+        assert lip_from_hessians(o, DomainSampler(o.dim, 5.0), 10_000, rng) == l_fd
+
+    def test_poly_map(self):
+        rng = stream_rng(42, STREAM_FD, 0)
+        est = lip_from_jacobians(builtin("poly_map_2d"), DomainSampler(2, 5.0), 10_000, rng)
+        assert est == pytest.approx(2.000000000022522, rel=1e-12)
 
 
 class TestLipFromJacobians:

@@ -77,6 +77,16 @@ class TestSimplexWeights:
         w = SimplexWeights(np.array([0.5, 0.5 + 5e-10]))
         assert abs(w.weights.sum() - 1.0) <= 1e-12
 
+    def test_stored_weights_construct_to_themselves(self):
+        # weights read back from a report must give the same probe again
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            e = rng.standard_exponential(int(rng.integers(2, 12)))
+            t = e[0] / e.sum()
+            for raw in (e / e.sum(), np.array([1.0 - t, t]), e / e.sum() * (1 + 1e-10)):
+                w = SimplexWeights(raw).weights
+                np.testing.assert_array_equal(SimplexWeights(w.tolist()).weights, w)
+
     def test_rejects_large_deviation(self):
         with pytest.raises(ValueError, match="sum"):
             SimplexWeights(np.array([0.5, 0.6]))

@@ -29,12 +29,9 @@ from .oracles import (
     VectorOracle,
     as_vector_oracle,
     builtin,
-    fd_gradient,
-    fd_hessian_vec,
     fd_jacobian,
     lip_from_hessians,
     lip_from_jacobians,
-    operator_norm,
 )
 from .probe import (
     ProbeResult,
@@ -44,7 +41,6 @@ from .probe import (
     two_point_probe,
 )
 from .slices import (
-    Functional,
     derivative_norm_via_functionals,
     difference_matrix,
     functional_sup_ratio,
@@ -52,14 +48,12 @@ from .slices import (
     slice_gradient_map,
     slice_map,
     slice_smoothness_check,
-    unit_functional,
     unit_functional_set,
 )
 from .vecspace import (
     Configuration,
     SimplexWeights,
     convex_combination,
-    inner,
     norm2,
     pair_spread,
 )

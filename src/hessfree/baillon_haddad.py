@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimate import ASCENT_LEVELS, ASCENT_SHRINK
 from .oracles import DomainSampler
-from .vecspace import Vector, norm2
+from .vecspace import Matrix, Vector, norm2, row_dots
 
 COCOERCIVITY_TOL_COEFF = 1e-10
 CONVEXITY_TOL_COEFF = 1e-10
-
-_ASCENT_SHRINK = 0.7
-_ASCENT_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -61,23 +59,34 @@ class ConvexitySplitReport:
     tol: float
 
 
-def cocoercivity_residual(G, beta: float, x: Vector, y: Vector) -> float:
-    """r = <G(x) - G(y), x - y> - (1/beta) ||G(x) - G(y)||^2.
-
-    r >= 0 at (x, y) is the pointwise 1/beta-cocoercivity inequality.
-    G must accept batched points.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+def _pair_differences(G, x, y) -> tuple[Matrix, Matrix, bool]:
+    """(G(x) - G(y), x - y) as (B, m) and (B, d) stacks, for one pair of
+    (d,) points or for (B, d) stacks of pairs, and whether one pair was
+    given.  G is called once, on the x rows followed by the y rows."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if x.shape != y.shape:
         raise ValueError("dimension mismatch")
-    vals = np.asarray(G(np.stack([x, y])), dtype=np.float64)
+    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
+    vals = np.asarray(G(np.concatenate([xs, ys])), dtype=np.float64)
     if not np.isfinite(vals).all():
         raise ValueError("non-finite operator output")
-    dg = vals[0] - vals[1]
-    return float(dg @ (x - y) - (dg @ dg) / beta)
+    return vals[: len(xs)] - vals[len(xs) :], xs - ys, x.ndim == 1
+
+
+def cocoercivity_residual(G, beta: float, x: Vector, y: Vector):
+    """r = <G(x) - G(y), x - y> - (1/beta) ||G(x) - G(y)||^2.
+
+    r >= 0 at (x, y) is the pointwise 1/beta-cocoercivity inequality.
+    G must accept batched points.  For (B, d) stacks of pairs the result
+    is the (B,) array of the single-pair residuals, equal to them bit for
+    bit when G computes each row independently of the others.
+    """
+    if beta <= 0.0:
+        raise ValueError("beta must be > 0")
+    dg, dxy, single = _pair_differences(G, x, y)
+    r = row_dots(dg, dxy) - row_dots(dg, dg) / beta
+    return float(r[0]) if single else r
 
 
 def check_cocoercive(
@@ -128,8 +137,8 @@ def check_cocoercive(
     base = 0.5 * (1.0 + sampler.radius)
     level = 0
     used = 0
-    while used < ascent_steps and level < _ASCENT_LEVELS:
-        step = base * _ASCENT_SHRINK**level
+    while used < ascent_steps and level < ASCENT_LEVELS:
+        step = base * ASCENT_SHRINK**level
         accepted = False
         for which in (0, 1):
             for k in range(sampler.dim):
@@ -166,26 +175,26 @@ def _pair_scale(G, x: Vector, y: Vector) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max()))
 
 
-def lipschitz_from_cocoercivity(
-    G_phi, L: float, x: Vector, y: Vector
-) -> tuple[float, float]:
+def lipschitz_from_cocoercivity(G_phi, L: float, x: Vector, y: Vector):
     """The two sides of the expansion step: with G(x) = L x + G_phi(x),
     1/(2L)-cocoercivity of G at (x, y) is algebraically equivalent to
     lhs <= rhs for
 
         lhs = ||G_phi(x) - G_phi(y)||^2,   rhs = L^2 ||x - y||^2.
+
+    For (B, d) stacks of pairs both sides are (B,) arrays of the
+    single-pair values, as for cocoercivity_residual.
     """
     if L <= 0.0:
         raise ValueError("L must be > 0")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape != y.shape:
-        raise ValueError("dimension mismatch")
-    vals = np.asarray(G_phi(np.stack([x, y])), dtype=np.float64)
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite operator output")
-    dphi = vals[0] - vals[1]
-    return float(dphi @ dphi), float(L**2 * norm2(x - y) ** 2)
+    dphi, dxy, single = _pair_differences(G_phi, x, y)
+    lhs = row_dots(dphi, dphi)
+    # ||x - y||^2 through Python's float pow, as a single pair always had
+    # it: libm's pow(v, 2) is not correctly rounded, so numpy's square
+    # would move about 0.1% of the values by an ulp
+    dist_sq = np.array([v**2 for v in np.sqrt(row_dots(dxy, dxy)).tolist()])
+    rhs = L**2 * dist_sq
+    return (float(lhs[0]), float(rhs[0])) if single else (lhs, rhs)
 
 
 def convexity_split_check(

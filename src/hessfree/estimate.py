@@ -44,8 +44,10 @@ VIOLATION_ATOL_COEFF = 1e-12
 # larger than the probe-level spread floor.
 INFORMATIVE_SPREAD_COEFF = 1e-4
 
-_ASCENT_SHRINK = 0.7
-_ASCENT_LEVELS = 8
+# the coordinate-search schedule: the step shrinks by ASCENT_SHRINK after
+# every sweep without an accepted move, through ASCENT_LEVELS levels
+ASCENT_SHRINK = 0.7
+ASCENT_LEVELS = 8
 
 
 class ProbeRow(NamedTuple):
@@ -249,8 +251,8 @@ def _ascend(
     level = 0
     used = 0
     n, d = pts.shape
-    while used < steps and level < _ASCENT_LEVELS:
-        step = base * _ASCENT_SHRINK**level
+    while used < steps and level < ASCENT_LEVELS:
+        step = base * ASCENT_SHRINK**level
         accepted = False
         for i in range(n):
             for k in range(d):

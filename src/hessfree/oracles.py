@@ -14,7 +14,6 @@ route: nothing in the probe machinery uses them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -323,26 +322,12 @@ def as_vector_oracle(o: ScalarOracle | VectorOracle) -> VectorOracle:
 # ---------------------------------------------------------------------------
 
 
-def _central_gradient(fn: Callable[[np.ndarray], np.ndarray], x: Vector) -> Vector:
-    """Per-coordinate central differences of a scalar map, step
-    cbrt(eps) * max(1, |x_i|).  fn must be batch-capable."""
-    x = as_point(x)
-    d = x.size
-    h = FD_VALUE_STEP * np.maximum(1.0, np.abs(x))
-    shift = np.diag(h)
-    fp = np.asarray(fn(x + shift), dtype=np.float64)
-    fm = np.asarray(fn(x - shift), dtype=np.float64)
-    if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-        raise ValueError("non-finite oracle value in finite difference")
-    return (fp - fm) / (2.0 * h)
-
-
 def fd_gradient(o: ScalarOracle, x: Vector) -> Vector:
     """Central-difference gradient; the cross-check for o.gradient."""
     x = as_point(x)
     if x.size != o.dim:
         raise ValueError(f"point has dim {x.size}, oracle expects {o.dim}")
-    return _central_gradient(o.value, x)
+    return value_gradients(o.value, x[None, :])[0]
 
 
 def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
@@ -389,6 +374,12 @@ def _value_steps(x: Matrix) -> Matrix:
     return FD_VALUE_STEP * np.maximum(1.0, np.abs(x))
 
 
+def value_gradients(fn: Callable[[np.ndarray], np.ndarray], x: Matrix) -> Matrix:
+    """Gradients of a batch-capable scalar map at the rows of x (B, d) by
+    central differences with steps cbrt(eps) max(1, |x_i|); (B, d)."""
+    return central_differences(lambda p: np.asarray(fn(p))[..., None], x, _value_steps(x))[:, 0]
+
+
 def fd_hessian(o: ScalarOracle, x: Vector) -> Matrix:
     """Full Hessian by central differences of the gradient along the
     basis vectors, step sqrt(eps) (1 + ||x||)."""
@@ -404,57 +395,6 @@ def fd_jacobian(F: VectorOracle, x: Vector) -> Matrix:
         raise ValueError("dimension mismatch")
     x = x[None, :]
     return central_differences(F.eval, x, _value_steps(x))[0]
-
-
-# ---------------------------------------------------------------------------
-# Operator norms
-# ---------------------------------------------------------------------------
-
-# fixed start seed so that repeated calls are bit-identical
-_POWER_SEED = 0x9E3779B97F4A7C15
-
-
-def _spectral_norm(a: Matrix, tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Largest singular value by power iteration on A^T A."""
-    a = np.asarray(a, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    if not a.any():
-        return 0.0
-    b = a.T @ a
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(b.shape[0])
-    v /= np.sqrt(v @ v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        nw = float(np.sqrt(w @ w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - est) <= tol * max(nw, 1e-300):
-            return float(np.sqrt(nw))
-        est = nw
-    warnings.warn(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"returning approximate value {np.sqrt(est):.6e}",
-        RuntimeWarning,
-    )
-    return float(np.sqrt(est))
-
-
-def operator_norm(apply: Callable[[Vector], Vector], dim_in: int) -> float:
-    """Spectral norm of a linear map given only as a matvec.
-
-    The matrix is assembled by applying the map to the basis vectors,
-    then power iteration runs on A^T A (relative-change tolerance 1e-10,
-    at most 500 iterations; non-convergence is reported as a
-    RuntimeWarning and the best iterate returned).
-    """
-    if dim_in < 1:
-        raise ValueError("dim_in must be >= 1")
-    cols = [np.asarray(apply(e), dtype=np.float64) for e in np.eye(dim_in)]
-    return _spectral_norm(np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Scalar slices of vector-valued maps and derivative reconstruction.
 
-A slice of F: R^d -> R^m by a functional y* (a vector in R^m under the
-Euclidean pairing) is the scalar map phi(x) = <y*, F(x)>.  In finite
-dimensions the derivative action F'(x) h can be reassembled from the m
-basis slices, and the operator norm ||F'(x) - F'(y)|| equals the sup of
-<y*, (F'(x) - F'(y)) h> over unit y* and unit h — realized here
-empirically over sampled unit functionals and refined by power iteration
-on the explicitly assembled difference matrix.
+A slice of F: R^d -> R^m by a functional y* (a coefficient vector in R^m
+under the Euclidean pairing) is the scalar map phi(x) = <y*, F(x)>.  In
+finite dimensions the derivative action F'(x) h can be reassembled from
+the m basis slices, and the operator norm ||F'(x) - F'(y)|| equals the
+sup of <y*, (F'(x) - F'(y)) h> over unit y* and unit h — realized here
+empirically over sampled unit functionals and taken exactly as the
+largest singular value of the explicitly assembled difference matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import FD_VALUE_STEP, DomainSampler, VectorOracle, _spectral_norm
-from .vecspace import Vector, as_point, norm2
-
-UNIT_NORM_SLACK = 1e-12
+from .oracles import FD_VALUE_STEP, DomainSampler, VectorOracle, value_gradients
+from .vecspace import Matrix, Vector, as_point, norm2, row_dots
 
 # slice-smoothness comparison: FD noise allowance on top of L ||x-y||
 SMOOTHNESS_RTOL = 1e-4
@@ -26,63 +24,27 @@ SMOOTHNESS_ATOL = 1e-8
 L_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class Functional:
-    """y* in R^m under the Euclidean pairing; unit functionals carry
-    norm <= 1 (enforced at construction via unit_functional)."""
-
-    coeffs: Vector
-
-    def __post_init__(self):
-        c = as_point(self.coeffs)
-        c = c.copy() if c is self.coeffs else c
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def norm(self) -> float:
-        return norm2(self.coeffs)
-
-    def __call__(self, y):
-        return np.asarray(y) @ self.coeffs
-
-
-def unit_functional(v) -> Functional:
-    """Normalize v to the unit sphere."""
-    v = as_point(v)
-    n = norm2(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero functional")
-    f = Functional(v / n)
-    assert f.norm <= 1.0 + UNIT_NORM_SLACK
-    return f
-
-
-def unit_functional_set(
-    dim_out: int, count: int, rng: np.random.Generator
-) -> list[Functional]:
-    """+-e_j deterministically, then Gaussian points normalized to the
-    sphere until count functionals are collected."""
-    out: list[Functional] = []
+def unit_functional_set(dim_out: int, count: int, rng: np.random.Generator) -> Matrix:
+    """count unit functionals as the rows of a (count, dim_out) array:
+    +-e_j deterministically, then Gaussian draws normalized to the sphere
+    (draws of norm <= 1e-12 are skipped)."""
     eye = np.eye(dim_out)
-    for j in range(dim_out):
-        out.append(Functional(eye[j]))
-        out.append(Functional(-eye[j]))
-    while len(out) < count:
-        g = rng.standard_normal(dim_out)
-        n = norm2(g)
-        if n > 1e-12:
-            out.append(Functional(g / n))
-    return out[:count]
+    rows = [np.stack([eye, -eye], axis=1).reshape(2 * dim_out, dim_out)]
+    missing = count - 2 * dim_out
+    while missing > 0:
+        g = rng.standard_normal((missing, dim_out))
+        n = np.sqrt(row_dots(g, g))  # norm2 of each row, bit for bit
+        keep = n > 1e-12
+        rows.append(g[keep] / n[keep, None])
+        missing -= int(keep.sum())
+    return np.concatenate(rows)[:count]
 
 
-def slice_map(F: VectorOracle, ystar: Functional):
+def slice_map(F: VectorOracle, ystar: Vector):
     """x -> <y*, F(x)> as a batch-capable scalar map."""
-    if ystar.coeffs.size != F.dim_out:
-        raise ValueError(
-            f"functional dim {ystar.coeffs.size} != oracle dim_out {F.dim_out}"
-        )
-    c = ystar.coeffs
+    c = as_point(ystar)
+    if c.size != F.dim_out:
+        raise ValueError(f"functional dim {c.size} != oracle dim_out {F.dim_out}")
 
     def phi(x):
         return np.asarray(F.eval(np.asarray(x, dtype=np.float64))) @ c
@@ -90,32 +52,22 @@ def slice_map(F: VectorOracle, ystar: Functional):
     return phi
 
 
-def slice_gradient_map(F: VectorOracle, ystar: Functional):
+def slice_gradient_map(F: VectorOracle, ystar: Vector):
     """Finite-difference gradient of the slice, batch-capable:
     (B, d) -> (B, d) or (d,) -> (d,)."""
     phi = slice_map(F, ystar)
-    d = F.dim_in
-    eye = np.eye(d)
 
     def grad(x):
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        h = FD_VALUE_STEP * np.maximum(1.0, np.abs(pts))  # (B, d)
-        shift = h[:, :, None] * eye[None, :, :]  # (B, d, d)
-        vp = np.asarray(phi(pts[:, None, :] + shift), dtype=np.float64)
-        vm = np.asarray(phi(pts[:, None, :] - shift), dtype=np.float64)
-        if not (np.isfinite(vp).all() and np.isfinite(vm).all()):
-            raise ValueError("non-finite slice value in finite difference")
-        g = (vp - vm) / (2.0 * h)
-        return g[0] if single else g
+        g = value_gradients(phi, np.atleast_2d(x))
+        return g[0] if x.ndim == 1 else g
 
     return grad
 
 
 @dataclass(frozen=True)
 class SmoothnessWitness:
-    functional: Functional
+    functional: Vector
     x: Vector
     y: Vector
     grad_dist: float
@@ -217,21 +169,19 @@ def derivative_norm_via_functionals(
     rng: np.random.Generator | None = None,
 ) -> float:
     """||F'(x) - F'(y)|| as the empirical sup of <y*, (F'(x) - F'(y)) h>
-    over sampled unit y* and unit h, refined by power iteration on the
-    assembled difference matrix."""
+    over sampled unit y* and unit h, refined to the exact spectral norm
+    of the assembled difference matrix."""
     x = as_point(x)
     y = as_point(y)
     if np.array_equal(x, y):
         return 0.0
     rng = rng if rng is not None else np.random.default_rng(0)
     d = difference_matrix(F, x, y)
-    functionals = unit_functional_set(F.dim_out, n_functionals, rng)
-    ycoeffs = np.stack([f.coeffs for f in functionals])  # (K, m)
+    ycoeffs = unit_functional_set(F.dim_out, n_functionals, rng)  # (K, m)
     hs = rng.standard_normal((max(n_directions, 1), F.dim_in))
     hs /= np.maximum(np.sqrt(np.einsum("ij,ij->i", hs, hs)), 1e-300)[:, None]
     empirical = float((ycoeffs @ d @ hs.T).max())
-    refined = _spectral_norm(d)
-    return max(empirical, refined)
+    return max(empirical, float(np.linalg.norm(d, 2)))
 
 
 def functional_sup_ratio(
@@ -241,17 +191,16 @@ def functional_sup_ratio(
     n_functionals: int,
     rng: np.random.Generator,
 ) -> float:
-    """How much of the power-iteration operator norm the sampled unit
-    functionals realize: max over sampled y* of ||(F'(x) - F'(y))^T y*||
-    divided by the power-iteration norm (1.0 when the difference is
-    numerically zero).  With the direction h optimized exactly per
-    functional, this isolates how well the sampled dual ball attains the
-    sup defining the norm."""
+    """How much of the operator norm the sampled unit functionals
+    realize: max over sampled y* of ||(F'(x) - F'(y))^T y*|| divided by
+    the exact spectral norm (1.0 when the difference is numerically
+    zero).  With the direction h optimized exactly per functional, this
+    isolates how well the sampled dual ball attains the sup defining the
+    norm."""
     d = difference_matrix(F, x, y)
-    refined = _spectral_norm(d)
+    refined = float(np.linalg.norm(d, 2))
     if refined <= 1e-300:
         return 1.0
-    functionals = unit_functional_set(F.dim_out, n_functionals, rng)
-    ycoeffs = np.stack([f.coeffs for f in functionals])
+    ycoeffs = unit_functional_set(F.dim_out, n_functionals, rng)
     sups = np.sqrt(np.einsum("ij,ij->i", ycoeffs @ d, ycoeffs @ d))
     return float(sups.max() / refined)

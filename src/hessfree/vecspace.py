@@ -52,6 +52,13 @@ def norm2(a: Vector) -> float:
     return float(np.sqrt(a @ a))
 
 
+def row_dots(a: Matrix, b: Matrix) -> Vector:
+    """a_i @ b_i for the rows of two (B, k) stacks.  The stacked matmul
+    runs the single-row dot on each row, so every entry equals a_i @ b_i
+    bit for bit (einsum can differ in the last ulp)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class SimplexWeights:
     """Nonnegative weights on the probability simplex.

@@ -146,6 +146,69 @@ class TestSlicesCommand:
         assert code == 1
         assert load(out)["verdicts"]["lipschitz_transfer"] is False
 
+    def test_no_pair_tested(self, tmp_path):
+        # on a 1e-12-wide domain every pair is closer than 1e-9: the
+        # transfer checks test nothing, so they report null and do not pass
+        out = tmp_path / "s.json"
+        code = run(
+            ["slices", "--oracle", "cubic1d", "--params", "1", "--L", "0.5", "--seed", "1",
+             "--domain-radius", "1e-12", "--pairs", "20", "--out", str(out)]
+        )
+        assert code == 1
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        rep = json.loads(text)
+        assert rep["results"]["worst_transfer_excess"] is None
+        assert rep["results"]["min_functional_sup_realization"] is None
+        assert rep["verdicts"]["lipschitz_transfer"] is False
+        assert rep["verdicts"]["functional_sup_realization"] is False
+
+
+class TestPinnedCheckReports:
+    """Exact check-suite results at small budgets, seed 42: a change to
+    these numbers is a change to the checks.  The slices transfer excess
+    and sup realization of poly_map_2d rest on the exact spectral norm; a
+    power iteration gave -0.01757083571404472 and 0.9999965073008865."""
+
+    CASES = {
+        "sc2": (["--oracle", "separable_cubic", "--params", "3", "1", "--L", "3.0"],
+                (-0.0018325302313737524, 1.6528735159226926e-05,
+                 -0.014503454783493908, -0.005519597559498379),
+                (4.5177017571951724e-11, 2.782355204183502e-10,
+                 -0.030697838595123983, 1.0)),
+        "poly_map_2d": (["--oracle", "poly_map_2d", "--L", "2.0"],
+                        (-0.001221686820915835, 1.1026509127987083e-05,
+                         -0.006445980588551947, -0.0036797350396646777),
+                        (2.6321992330450198e-11, 4.91664836840901e-11,
+                         -0.01757083571100715, 0.9999965073008242)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_verify(self, name, tmp_path):
+        argv, expected, _ = self.CASES[name]
+        out = tmp_path / "v.json"
+        assert run(["verify", *argv, "--seed", "42", "--out", str(out)] + FAST) == 0
+        r = load(out)["results"]
+        assert (
+            r["convexity_split"]["worst_violation"],
+            r["cocoercivity"]["min_residual"],
+            r["expansion_step"]["worst_excess"],
+            r["slice_smoothness"]["worst_excess"],
+        ) == expected
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_slices(self, name, tmp_path):
+        argv, _, expected = self.CASES[name]
+        out = tmp_path / "s.json"
+        assert run(["slices", *argv, "--seed", "42", "--pairs", "20", "--out", str(out)]) == 0
+        r = load(out)["results"]
+        assert (
+            r["worst_reconstruction_rel_err"],
+            r["worst_linearity_rel_err"],
+            r["worst_transfer_excess"],
+            r["min_functional_sup_realization"],
+        ) == expected
+
 
 class TestBadInput:
     """Every out-of-range option exits 2 with a message naming it."""
@@ -163,11 +226,28 @@ class TestBadInput:
         (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--n-functionals", "0"],
          "n_functionals"),
         (["estimate", "--oracle", "cubic1d", "--params", "1", "--fd-pairs", "0"], "fd_pairs"),
+        (["estimate", "--oracle", "cubic1d", "--params", "1", "--domain-radius", "0"],
+         "domain_radius"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--domain-radius", "nan"],
+         "domain_radius"),
+        (["verify", "--oracle", "cubic1d", "--params", "1", "--L", "1", "--domain-radius", "inf"],
+         "domain_radius"),
+        (["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "1",
+          "--domain-radius", "-1"], "domain_radius"),
     ])
     def test_rejected_with_exit_2(self, argv, key, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--seed", "1", "--out", str(out)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_informative_probe(self, tmp_path, capsys):
+        # every probe of a 1e-12-wide domain is spread-degenerate
+        out = tmp_path / "r.json"
+        argv = ["estimate", "--oracle", "cubic1d", "--params", "1", "--seed", "1",
+                "--domain-radius", "1e-12", "--out", str(out)]
+        assert run(argv + FAST) == 2
+        assert "no informative probe" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_value_checked(self, tmp_path, capsys):

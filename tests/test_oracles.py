@@ -8,6 +8,7 @@ from hessfree.oracles import (
     FD_GRAD_STEP,
     FD_VALUE_STEP,
     ScalarOracle,
+    VectorOracle,
     builtin,
     central_differences,
     fd_gradient,
@@ -16,8 +17,8 @@ from hessfree.oracles import (
     fd_jacobian,
     lip_from_hessians,
     lip_from_jacobians,
-    operator_norm,
 )
+from hessfree.slices import derivative_norm_via_functionals
 
 
 def spectral_norm_2x2_closed_form(a):
@@ -162,20 +163,41 @@ class TestFdHessianVec:
                 assert abs(left - right) <= 1e-4 * scale, o.label
 
 
+def map_with_difference(a):
+    """A quadratic map whose derivative difference F'(e_1) - F'(0) is the
+    (m, d) matrix a: F_i(x) = x_1 (a_i . x) - a_i1 x_1^2 / 2."""
+    a = np.asarray(a, dtype=float)
+
+    def ev(x):
+        x = np.asarray(x)
+        return x[..., :1] * (x @ a.T) - 0.5 * a[:, 0] * x[..., :1] ** 2
+
+    return VectorOracle(a.shape[1], a.shape[0], ev, "difference_map")
+
+
 class TestOperatorNorm:
+    """The operator norm ||F'(x) - F'(y)|| on the slices route: the exact
+    spectral norm of the finite-difference matrix, here of a known one."""
+
+    @staticmethod
+    def norm(a):
+        F = map_with_difference(a)
+        x = np.eye(F.dim_in)[0]
+        return derivative_norm_via_functionals(
+            F, x, np.zeros(F.dim_in), rng=np.random.default_rng(0)
+        )
+
     def test_identity(self):
-        assert operator_norm(lambda v: v, 3) == pytest.approx(1.0, rel=1e-10)
+        assert self.norm(np.eye(3)) == pytest.approx(1.0, rel=1e-9)
 
     def test_diagonal(self):
-        d = np.array([3.0, 1.0])
-        assert operator_norm(lambda v: d * v, 2) == pytest.approx(3.0, rel=1e-10)
+        assert self.norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-9)
 
     def test_nilpotent_shift(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert operator_norm(lambda v: a @ v, 2) == pytest.approx(1.0, rel=1e-10)
+        assert self.norm([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_map(self):
-        assert operator_norm(lambda v: 0.0 * v, 2) == 0.0
+        assert self.norm(np.zeros((2, 2))) == 0.0
 
     def test_closed_form_family(self):
         # rotations of diag(s1, s2) with a singular-value gap, checked
@@ -190,22 +212,13 @@ class TestOperatorNorm:
             a = r1 @ np.diag([s1, s2]) @ r2
             expected = spectral_norm_2x2_closed_form(a)
             assert expected == pytest.approx(s1, rel=1e-12)
-            got = operator_norm(lambda v, _a=a: _a @ v, 2)
-            assert got == pytest.approx(expected, rel=1e-8)
+            assert self.norm(a) == pytest.approx(expected, rel=1e-9)
 
     def test_rank_one_tie(self):
         # exactly repeated singular value: rotation matrix, norm 1
         th = 0.73
         a = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        assert operator_norm(lambda v: a @ v, 2) == pytest.approx(1.0, rel=1e-10)
-
-    def test_near_tie_flagged_approximate(self):
-        # a singular-value gap small enough that 500 iterations cannot
-        # certify 1e-10 relative change, but large enough to keep moving
-        a = np.diag([1.0, 1.0 - 1e-4])
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            got = operator_norm(lambda v: a @ v, 2)
-        assert got == pytest.approx(1.0, abs=1e-4)
+        assert self.norm(a) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestFdJacobian:

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hessfree.oracles import DomainSampler, builtin, fd_jacobian
 from hessfree.slices import (
-    Functional,
     derivative_norm_via_functionals,
     difference_matrix,
     functional_sup_ratio,
@@ -11,9 +12,9 @@ from hessfree.slices import (
     slice_gradient_map,
     slice_map,
     slice_smoothness_check,
-    unit_functional,
     unit_functional_set,
 )
+from hessfree.vecspace import norm2
 
 
 def analytic_poly_jacobian(x):
@@ -21,22 +22,43 @@ def analytic_poly_jacobian(x):
     return np.array([[2 * x[0], 0.0], [x[1], x[0]]])
 
 
+class _ScriptedDraws:
+    """Stands in for a Generator: standard_normal((k, m)) returns the next
+    k scripted rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        out, self.rows = self.rows[: shape[0]], self.rows[shape[0] :]
+        return out
+
+
 class TestFunctional:
     def test_unit_enforced(self):
-        f = unit_functional(np.array([3.0, 4.0]))
-        assert f.norm == pytest.approx(1.0, abs=1e-12)
+        # each Gaussian row is the draw divided by its norm2, bit for bit
+        fs = unit_functional_set(3, 400, np.random.default_rng(5))
+        draws = np.random.default_rng(5).standard_normal((394, 3))
+        for f, g in zip(fs[6:], draws):
+            np.testing.assert_array_equal(f, g / norm2(g))
+            assert norm2(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            unit_functional(np.zeros(2))
+        # a draw of norm <= 1e-12 is skipped and the next one taken
+        draws = _ScriptedDraws([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0], [0.0, -2.0]])
+        fs = unit_functional_set(2, 6, draws)
+        np.testing.assert_array_equal(fs[4:], [[0.6, 0.8], [0.0, -1.0]])
 
     def test_application(self):
-        f = Functional(np.array([0.5, 0.5]))
-        assert f(np.array([4.0, 6.0])) == pytest.approx(5.0)
+        # a functional is its coefficient vector: the slice is F(x) @ y*
+        F = builtin("poly_map_2d")
+        x = np.array([4.0, 6.0])
+        for f in unit_functional_set(2, 10, np.random.default_rng(0)):
+            assert slice_map(F, f)(x) == F.eval(x) @ f
 
     def test_sampling_includes_basis(self):
-        fs = unit_functional_set(2, 10, np.random.default_rng(0))
-        coeffs = np.stack([f.coeffs for f in fs])
+        coeffs = unit_functional_set(2, 10, np.random.default_rng(0))
+        assert coeffs.shape == (10, 2)
         for e in np.eye(2):
             assert any(np.array_equal(c, e) for c in coeffs)
             assert any(np.array_equal(c, -e) for c in coeffs)
@@ -47,27 +69,27 @@ class TestFunctional:
 class TestSliceMap:
     def test_first_component(self):
         F = builtin("poly_map_2d")
-        phi = slice_map(F, Functional(np.array([1.0, 0.0])))
+        phi = slice_map(F, np.array([1.0, 0.0]))
         assert phi(np.array([2.0, 3.0])) == pytest.approx(4.0)
 
     def test_zero_functional(self):
         F = builtin("poly_map_2d")
-        phi = slice_map(F, Functional(np.array([0.0, 0.0])))
+        phi = slice_map(F, np.array([0.0, 0.0]))
         assert phi(np.array([2.0, 3.0])) == 0.0
 
     def test_mixed_functional(self):
         F = builtin("poly_map_2d")
-        phi = slice_map(F, Functional(np.array([0.5, 0.5])))
+        phi = slice_map(F, np.array([0.5, 0.5]))
         assert phi(np.array([2.0, 3.0])) == pytest.approx(5.0)
 
     def test_dim_mismatch(self):
         F = builtin("poly_map_2d")
         with pytest.raises(ValueError, match="dim"):
-            slice_map(F, Functional(np.array([1.0, 0.0, 0.0])))
+            slice_map(F, np.array([1.0, 0.0, 0.0]))
 
     def test_batched(self):
         F = builtin("poly_map_2d")
-        phi = slice_map(F, Functional(np.array([1.0, 0.0])))
+        phi = slice_map(F, np.array([1.0, 0.0]))
         np.testing.assert_allclose(
             phi(np.array([[2.0, 3.0], [1.0, 1.0]])), [4.0, 1.0]
         )
@@ -76,17 +98,17 @@ class TestSliceMap:
 class TestSliceGradientMap:
     def test_against_analytic(self):
         F = builtin("poly_map_2d")
-        ystar = unit_functional(np.array([1.0, 2.0]))
+        ystar = np.array([1.0, 2.0]) / np.sqrt(5.0)
         grad = slice_gradient_map(F, ystar)
         rng = np.random.default_rng(42)
         for _ in range(20):
             x = rng.uniform(-5, 5, 2)
-            expected = analytic_poly_jacobian(x).T @ ystar.coeffs
+            expected = analytic_poly_jacobian(x).T @ ystar
             np.testing.assert_allclose(grad(x), expected, rtol=1e-7, atol=1e-8)
 
     def test_batch_matches_single(self):
         F = builtin("separable_cubic", [3.0, 1.0]).gradient_oracle()
-        grad = slice_gradient_map(F, unit_functional(np.array([1.0, 1.0])))
+        grad = slice_gradient_map(F, np.array([1.0, 1.0]) / np.sqrt(2.0))
         pts = np.random.default_rng(1).uniform(-5, 5, (6, 2))
         batched = grad(pts)
         for i, p in enumerate(pts):
@@ -195,6 +217,17 @@ class TestDerivativeNormViaFunctionals:
         F = builtin("poly_map_2d")
         assert derivative_norm_via_functionals(F, np.ones(2), np.ones(2)) == 0.0
 
+    def test_near_tie_exact(self):
+        # singular values 1 and 1 - 1e-4: too close for a power iteration
+        # to settle in 500 steps, exact for the spectral norm
+        F = builtin("separable_cubic", [1.0, 1.0 - 1e-4]).gradient_oracle()
+        x, y = np.ones(2), np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = derivative_norm_via_functionals(F, x, y, rng=np.random.default_rng(0))
+        assert got == np.linalg.norm(difference_matrix(F, x, y), 2)
+        assert got == 1.0000000000014866
+
     def test_lipschitz_transfer_on_zoo(self):
         rng = np.random.default_rng(42)
         for name, params in [("poly_map_2d", []), ("separable_cubic", [3.0, 1.0]),
@@ -232,6 +265,7 @@ class TestDerivativeNormViaFunctionals:
             x = rng.uniform(-5, 5, 2)
             jac = fd_jacobian(F, x)
             jnorm = np.linalg.norm(jac, 2)
-            ystar = unit_functional(rng.standard_normal(2))
+            ystar = rng.standard_normal(2)
+            ystar /= norm2(ystar)
             g = slice_gradient_map(F, ystar)(x)
-            assert np.linalg.norm(g) <= jnorm * ystar.norm + 1e-6
+            assert np.linalg.norm(g) <= jnorm * norm2(ystar) + 1e-6

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from hessfree.estimate import SearchBudget, falsify
+from hessfree.estimate import ProbeLog, SearchBudget, falsify
 from hessfree.oracles import builtin
 
 
@@ -45,9 +45,10 @@ def main() -> int:
     rows = []
     print(f"{'claimed_L':>10s} {'refuted':>8s} {'probes':>8s} {'margin':>12s}")
     for claimed in np.linspace(args.lo, args.hi, args.steps):
-        cert = falsify(o, float(claimed), budget)
+        log = ProbeLog()
+        cert = falsify(o, float(claimed), budget, log=log)
         refuted = cert is not None
-        probes = cert.probes_used if refuted else budget.two_point_pairs * 53 + budget.random_configs
+        probes = log.count
         margin = cert.margin if refuted else ""
         print(f"{claimed:10.4f} {str(refuted):>8s} {probes:>8d} "
               f"{margin if margin == '' else f'{margin:12.4g}'}")

@@ -34,9 +34,11 @@ from .oracles import (
     lip_from_jacobians,
 )
 from .probe import (
+    ProbeBatch,
     ProbeResult,
     best_t_probe,
     jensen_probe,
+    jensen_probe_batch,
     midpoint_convexity_violation,
     two_point_probe,
 )

@@ -59,10 +59,11 @@ class ConvexitySplitReport:
     tol: float
 
 
-def _pair_differences(G, x, y) -> tuple[Matrix, Matrix, bool]:
+def _pair_differences(G, x, y) -> tuple[Matrix, Matrix, Matrix, bool]:
     """(G(x) - G(y), x - y) as (B, m) and (B, d) stacks, for one pair of
-    (d,) points or for (B, d) stacks of pairs, and whether one pair was
-    given.  G is called once, on the x rows followed by the y rows."""
+    (d,) points or for (B, d) stacks of pairs, then the G values (2B, m)
+    and whether one pair was given.  G is called once, on the x rows
+    followed by the y rows."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if x.shape != y.shape:
@@ -71,7 +72,11 @@ def _pair_differences(G, x, y) -> tuple[Matrix, Matrix, bool]:
     vals = np.asarray(G(np.concatenate([xs, ys])), dtype=np.float64)
     if not np.isfinite(vals).all():
         raise ValueError("non-finite operator output")
-    return vals[: len(xs)] - vals[len(xs) :], xs - ys, x.ndim == 1
+    return vals[: len(xs)] - vals[len(xs) :], xs - ys, vals, x.ndim == 1
+
+
+def _residuals(dg: Matrix, dxy: Matrix, beta: float) -> Vector:
+    return row_dots(dg, dxy) - row_dots(dg, dg) / beta
 
 
 def cocoercivity_residual(G, beta: float, x: Vector, y: Vector):
@@ -84,8 +89,8 @@ def cocoercivity_residual(G, beta: float, x: Vector, y: Vector):
     """
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
-    dg, dxy, single = _pair_differences(G, x, y)
-    r = row_dots(dg, dxy) - row_dots(dg, dg) / beta
+    dg, dxy, _, single = _pair_differences(G, x, y)
+    r = _residuals(dg, dxy, beta)
     return float(r[0]) if single else r
 
 
@@ -147,10 +152,12 @@ def check_cocoercive(
                         break
                     tx, ty = wx.copy(), wy.copy()
                     (tx if which == 0 else ty)[k] += s * step
-                    r = cocoercivity_residual(G, beta, tx, ty)
+                    # one G call gives the residual and the scale
+                    dg, dxy, vals, _ = _pair_differences(G, tx, ty)
+                    r = float(_residuals(dg, dxy, beta)[0])
                     used += 1
                     tested += 1
-                    gscale = max(gscale, _pair_scale(G, tx, ty))
+                    gscale = max(gscale, float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max())))
                     pscale = max(pscale, norm2(tx), norm2(ty))
                     if r < worst:
                         worst, wx, wy = r, tx, ty
@@ -170,11 +177,6 @@ def check_cocoercive(
     )
 
 
-def _pair_scale(G, x: Vector, y: Vector) -> float:
-    vals = np.asarray(G(np.stack([x, y])), dtype=np.float64)
-    return float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max()))
-
-
 def lipschitz_from_cocoercivity(G_phi, L: float, x: Vector, y: Vector):
     """The two sides of the expansion step: with G(x) = L x + G_phi(x),
     1/(2L)-cocoercivity of G at (x, y) is algebraically equivalent to
@@ -187,7 +189,7 @@ def lipschitz_from_cocoercivity(G_phi, L: float, x: Vector, y: Vector):
     """
     if L <= 0.0:
         raise ValueError("L must be > 0")
-    dphi, dxy, single = _pair_differences(G_phi, x, y)
+    dphi, dxy, _, single = _pair_differences(G_phi, x, y)
     lhs = row_dots(dphi, dphi)
     # ||x - y||^2 through Python's float pow, as a single pair always had
     # it: libm's pow(v, 2) is not correctly rounded, so numpy's square

@@ -7,10 +7,16 @@ probe-based estimate against the independent finite-difference route.
 
 Probes are drawn in batches of 512, each batch owning its own generator
 spawned from (seed, stream, batch index).  The probe sequence therefore
-depends only on the budget and seed, the batched probe kernel returns
-what per-pair probing would, and the max-ratio reduction breaks ties by
-stream position, so certificates are bit-identical across reruns and
-batch sizes.
+depends only on the budget and seed, the batched probe kernels return
+what probing one pair or one configuration at a time would, and the
+max-ratio reduction breaks ties by stream position, so certificates are
+bit-identical across reruns and batch sizes.
+
+A batch of random configurations is probed as arrays by
+jensen_probe_batch, one call per point count n.  Only the rows the search
+acts on become ProbeResults, each re-evaluated through jensen_probe: the
+first violating row when falsifying, then the batch's best candidate.
+Every witness is therefore a jensen_probe result and replays bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .oracles import DomainSampler, ScalarOracle, VectorOracle, as_vector_oracle, lip_from_hessians, lip_from_jacobians
-from .probe import ProbeResult, best_t_probe, jensen_probe
-from .vecspace import Configuration, SimplexWeights
+from .probe import ProbeBatch, ProbeResult, best_t_probe, jensen_probe, jensen_probe_batch, scale_floor
+from .vecspace import Configuration, Matrix, SimplexWeights
 
 RNG_ALGORITHM = "numpy-pcg64/seedseq(seed,stream,batch)"
 
@@ -74,6 +80,14 @@ class ProbeLog:
         if self.collect:
             row = ProbeRow(result.config.n, result.gap, result.spread, result.ratio)
             self.rows.append((kind, row))
+
+    def add_batch(self, kind: str, ns: list[int], batch: ProbeBatch, lo: int, hi: int) -> None:
+        """Rows lo..hi-1 of a batch whose k-th configuration has ns[k] points."""
+        self.count += hi - lo
+        if self.collect:
+            ratios = [None if math.isnan(v) else v for v in batch.ratio[lo:hi].tolist()]
+            rows = zip(ns[lo:hi], batch.gap[lo:hi].tolist(), batch.spread[lo:hi].tolist(), ratios)
+            self.rows.extend((kind, ProbeRow(*row)) for row in rows)
 
 
 class NoInformativeProbeError(RuntimeError):
@@ -150,8 +164,8 @@ def stream_rng(seed: int, stream: int, batch: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, batch)))
 
 
-def informative_floor(r: ProbeResult) -> float:
-    return INFORMATIVE_SPREAD_COEFF * (1.0 + r.point_scale) ** 2
+def informative_floor(r: ProbeResult | ProbeBatch):
+    return scale_floor(INFORMATIVE_SPREAD_COEFF, r.point_scale)
 
 
 def _candidate_ratio(r: ProbeResult) -> float:
@@ -162,16 +176,31 @@ def _candidate_ratio(r: ProbeResult) -> float:
     return r.ratio
 
 
-def violation_tolerance(r: ProbeResult, claimed_l: float) -> float:
+def _candidate_ratios(b: ProbeBatch) -> np.ndarray:
+    """_candidate_ratio of every row of a batch."""
+    ok = ~np.isnan(b.ratio) & (b.spread >= informative_floor(b))
+    return np.where(ok, b.ratio, -math.inf)
+
+
+def violation_tolerance(r: ProbeResult | ProbeBatch, claimed_l: float):
     return (
         VIOLATION_RTOL * 0.5 * claimed_l * r.spread
         + VIOLATION_ATOL_COEFF * (1.0 + r.value_scale)
     )
 
 
-def violates(r: ProbeResult, claimed_l: float) -> bool:
-    """gap > (claimed_L / 2) spread + tolerance."""
+def violates(r: ProbeResult | ProbeBatch, claimed_l: float):
+    """gap > (claimed_L / 2) spread + tolerance; a bool array for a batch."""
     return r.gap - 0.5 * claimed_l * r.spread > violation_tolerance(r, claimed_l)
+
+
+def _draw_configuration(
+    rng: np.random.Generator, dim: int, max_n: int, radius: float
+) -> tuple[Matrix, SimplexWeights]:
+    n = int(rng.integers(2, max_n + 1))
+    pts = rng.standard_normal((n, dim)) * (radius / math.sqrt(dim))
+    e = rng.standard_exponential(n)
+    return pts, SimplexWeights(e / e.sum())
 
 
 def sample_configuration(
@@ -179,11 +208,7 @@ def sample_configuration(
 ) -> Configuration:
     """n uniform in {2..max_n}, Gaussian points at RMS radius, weights
     Dirichlet(1,..,1) via normalized unit-rate exponentials."""
-    n = int(rng.integers(2, max_n + 1))
-    pts = rng.standard_normal((n, dim)) * (radius / math.sqrt(dim))
-    e = rng.standard_exponential(n)
-    w = e / e.sum()
-    return Configuration(pts, SimplexWeights(w))
+    return Configuration(*_draw_configuration(rng, dim, max_n, radius))
 
 
 def _batches(total: int) -> Iterator[tuple[int, int]]:
@@ -211,20 +236,49 @@ def _two_point_results(
             yield r
 
 
+def _probe_draws(
+    F: VectorOracle, draws: list[tuple[Matrix, SimplexWeights]], ns: list[int]
+) -> ProbeBatch:
+    """jensen_probe_batch on configurations of ns[k] points each, one call
+    per n, with the rows put back in draw order."""
+    out = np.empty((len(ProbeBatch._fields), len(draws)))
+    # sorted(set()), not np.unique, which imports numpy.ma (about 1 MB)
+    for n in sorted(set(ns)):
+        rows = np.flatnonzero(np.equal(ns, n))
+        pts = np.stack([draws[k][0] for k in rows])
+        w = np.stack([draws[k][1].weights for k in rows])
+        out[:, rows] = jensen_probe_batch(F, pts, w)
+    return ProbeBatch(*out)
+
+
 def _config_results(
-    F: VectorOracle, budget: SearchBudget, log: ProbeLog
+    F: VectorOracle,
+    budget: SearchBudget,
+    log: ProbeLog,
+    stop: Callable[[ProbeResult | ProbeBatch], object] | None = None,
 ) -> Iterator[ProbeResult]:
+    """Each batch is probed whole before anything is yielded, like a
+    two-point batch, so a stop takes effect at batch granularity in both
+    phases.  What is yielded is what the search can act on: each row that
+    stop flags, in stream order, then the first row of the batch's best
+    candidate ratio.  A search that stops on a row has logged the rows up
+    to it, as when every row was yielded."""
     for b, count in _batches(budget.random_configs):
         rng = stream_rng(budget.seed, STREAM_CONFIGS, b)
-        # probed whole before any is yielded, like a two-point batch, so a
-        # stop takes effect at batch granularity in both phases
-        batch = [
-            jensen_probe(F, sample_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius))
+        draws = [
+            _draw_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius)
             for _ in range(count)
         ]
-        for r in batch:
-            log.add("config", r)
-            yield r
+        ns = [len(w) for _, w in draws]
+        rows = _probe_draws(F, draws, ns)
+        hits = np.flatnonzero(stop(rows)).tolist() if stop is not None else []
+        logged = 0
+        for k in hits:
+            log.add_batch("config", ns, rows, logged, k + 1)
+            logged = k + 1
+            yield jensen_probe(F, Configuration(*draws[k]))
+        log.add_batch("config", ns, rows, logged, count)
+        yield jensen_probe(F, Configuration(*draws[int(np.argmax(_candidate_ratios(rows)))]))
 
 
 def _ascend(
@@ -285,8 +339,8 @@ def _search(
     Returns (best informative probe, first probe satisfying stop).
     """
     best: ProbeResult | None = None
-    for phase in (_two_point_results, _config_results):
-        for r in phase(F, budget, log):
+    for phase in (_two_point_results(F, budget, log), _config_results(F, budget, log, stop)):
+        for r in phase:
             if stop is not None and stop(r):
                 return best, r
             if best is None or _candidate_ratio(r) > _candidate_ratio(best):

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .vecspace import Matrix, Vector, as_point, norm2
+from .vecspace import Matrix, Vector, as_point, norm2, row_dots
 
 _EPS = float(np.finfo(np.float64).eps)
 FD_VALUE_STEP = _EPS ** (1.0 / 3.0)  # central differences on values
@@ -365,7 +365,7 @@ def central_differences(
 
 def _gradient_steps(x: Matrix) -> Matrix:
     """sqrt(eps) (1 + ||x||) on every coordinate of each row."""
-    h = FD_GRAD_STEP * (1.0 + np.array([norm2(v) for v in x]))
+    h = FD_GRAD_STEP * (1.0 + np.sqrt(row_dots(x, x)))
     return np.repeat(h[:, None], x.shape[1], axis=1)
 
 
@@ -423,7 +423,8 @@ def _lip_from_derivatives(
     for start in range(0, budget, _FD_CHUNK):
         n = min(_FD_CHUNK, budget - start)
         pairs = sampler.uniform(rng, 2 * n).reshape(n, 2, sampler.dim)
-        dist = np.array([norm2(x - y) for x, y in pairs])
+        diff = pairs[:, 0] - pairs[:, 1]
+        dist = np.sqrt(row_dots(diff, diff))
         keep = dist >= _MIN_PAIR_DIST
         if not keep.any():
             continue

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .oracles import VectorOracle
-from .vecspace import Configuration, SimplexWeights, Vector, convex_combination, pair_spread
+from .vecspace import Configuration, Matrix, SimplexWeights, Vector, pair_spread, row_dots
 
 # below this, ratio is reported absent instead of dividing by near-zero
 SPREAD_FLOOR_COEFF = 1e-14
@@ -30,6 +31,16 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _T_GRID = 32
 _GOLDEN_ITERS = 20
 _GRID_CHUNK = 64  # pairs per grid scan: bounds the (pairs, 31, d) working set
+
+
+def scale_floor(coeff: float, point_scale):
+    """coeff * (1 + point_scale)^2 for one point scale or an array of
+    them, through Python's float pow either way: libm's pow(v, 2) is not
+    correctly rounded, so numpy's square would move about 0.1% of the
+    floors of a batch by an ulp against the one-probe floor."""
+    if np.ndim(point_scale) == 0:
+        return coeff * (1.0 + float(point_scale)) ** 2
+    return coeff * np.array([(1.0 + p) ** 2 for p in np.asarray(point_scale).tolist()])
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,18 @@ class ProbeResult:
     point_scale: float
 
     def spread_floor(self) -> float:
-        return SPREAD_FLOOR_COEFF * (1.0 + self.point_scale) ** 2
+        return scale_floor(SPREAD_FLOOR_COEFF, self.point_scale)
+
+
+class ProbeBatch(NamedTuple):
+    """The numbers of B probes as (B,) arrays, row k those of the k-th
+    configuration; ratio is NaN where jensen_probe reports None."""
+
+    gap: Vector
+    spread: Vector
+    ratio: Vector
+    value_scale: Vector
+    point_scale: Vector
 
 
 def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
@@ -69,9 +91,47 @@ def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
     point_scale = float(np.sqrt(np.einsum("ij,ij->i", pts, pts).max()))
     vs = float(np.sqrt(np.einsum("...i,...i->...", values, values).max()))
     value_scale = max(vs, float(np.sqrt(center @ center)))
-    floor = SPREAD_FLOOR_COEFF * (1.0 + point_scale) ** 2
+    floor = scale_floor(SPREAD_FLOOR_COEFF, point_scale)
     ratio = 2.0 * gap / spread if spread > floor else None
     return ProbeResult(gap, spread, ratio, c, F.label, value_scale, point_scale)
+
+
+def jensen_probe_batch(F: VectorOracle, points: np.ndarray, weights: Matrix) -> ProbeBatch:
+    """jensen_probe on B configurations of n points each, points (B, n, d)
+    and simplex weights (B, n), in one F.eval on the B n points and one on
+    the B centres.
+
+    Every reduction is the one-configuration reduction run on each row:
+    the vector products by stacked matmul, the squared distances and
+    norms by the same einsum.  When F computes each point independently
+    of the others, row k equals jensen_probe on configuration k bit for
+    bit."""
+    pts = np.asarray(points, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if pts.ndim != 3 or w.shape != pts.shape[:2]:
+        raise ValueError(f"need points (B, n, d) and weights (B, n), got {pts.shape} and {w.shape}")
+    if pts.shape[2] != F.dim_in:
+        raise ValueError(f"configuration dim {pts.shape[2]} != oracle dim_in {F.dim_in}")
+    wr = w[:, None, :]
+    values = np.asarray(F.eval(pts), dtype=np.float64)
+    # each centre as a (1, d) stack entry, so a matmul oracle sees the
+    # vector-matrix product of the one-configuration call
+    center = np.asarray(F.eval(wr @ pts), dtype=np.float64)
+    if not (np.isfinite(values).all() and np.isfinite(center).all()):
+        raise ValueError(f"non-finite output from oracle {F.label!r}")
+    center = center[:, 0]
+    resid = center - (wr @ values)[:, 0]
+    gap = np.sqrt(row_dots(resid, resid))
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    d2 = np.einsum("bijk,bijk->bij", diff, diff)
+    spread = 0.5 * (wr @ d2 @ w[:, :, None])[:, 0, 0]
+    point_scale = np.sqrt(np.einsum("bij,bij->bi", pts, pts).max(axis=1))
+    vs = np.sqrt(np.einsum("...i,...i->...", values, values).max(axis=1))
+    value_scale = np.maximum(vs, np.sqrt(row_dots(center, center)))
+    ok = spread > scale_floor(SPREAD_FLOOR_COEFF, point_scale)
+    ratio = np.full(len(pts), math.nan)
+    ratio[ok] = 2.0 * gap[ok] / spread[ok]
+    return ProbeBatch(gap, spread, ratio, value_scale, point_scale)
 
 
 def two_point_probe(F: VectorOracle, x: Vector, y: Vector, t: float) -> ProbeResult:
@@ -135,13 +195,10 @@ def best_t_probe(
         raise ValueError(f"non-finite output from oracle {F.label!r}")
     fx, fy = fvals[:, 0], fvals[:, 1]
     # per-pair dot products, as the single-pair scan computes them
-    coeff = max(SPREAD_FLOOR_COEFF, min_spread_coeff)
-    d2 = np.empty(len(x))
-    floor = np.empty(len(x))
-    for i, (xi, yi) in enumerate(zip(x, y)):
-        d2[i] = (xi - yi) @ (xi - yi)
-        ps = max(float(np.sqrt(xi @ xi)), float(np.sqrt(yi @ yi)))
-        floor[i] = coeff * (1.0 + ps) ** 2
+    diff = x - y
+    d2 = row_dots(diff, diff)
+    ps = np.maximum(np.sqrt(row_dots(x, x)), np.sqrt(row_dots(y, y)))
+    floor = scale_floor(max(SPREAD_FLOOR_COEFF, min_spread_coeff), ps)
 
     def scan(ts, rows=slice(None)):
         return _ratios(F, x[rows], y[rows], fx[rows], fy[rows], d2[rows], floor[rows], ts)

@@ -82,6 +82,19 @@ class TestCheckCocoercive:
         assert rep.passed
         assert abs(rep.min_residual) <= rep.tol
 
+    def test_one_operator_call_per_ascent_trial(self):
+        calls = []
+
+        def G(p):
+            calls.append(np.shape(p))
+            return np.asarray(p) * np.array([1.05, 0.2])
+
+        rep = check_cocoercive(G, 1.0, self.sampler(), np.random.default_rng(3), 400, ascent_steps=200)
+        trials = rep.pairs_tested - 400
+        assert trials > 0
+        # the sampled x and y stacks, then one (2, d) call per trial pair
+        assert calls == [(400, 2), (400, 2)] + [(2, 2)] * trials
+
     def test_ascent_sharpens_violation(self):
         # a barely-nonconvex perturbation: sampling alone may miss the
         # worst pair; the descent phase must still report a violation

@@ -5,17 +5,22 @@ import pytest
 
 from hessfree.estimate import (
     INFORMATIVE_SPREAD_COEFF,
+    STREAM_CONFIGS,
     NoInformativeProbeError,
     ProbeLog,
     SearchBudget,
+    _batches,
+    _candidate_ratio,
     cross_validate,
     estimate_L,
     falsify,
     replay,
+    sample_configuration,
+    stream_rng,
     violates,
 )
-from hessfree.oracles import as_vector_oracle, builtin
-from hessfree.probe import best_t_probe
+from hessfree.oracles import VectorOracle, as_vector_oracle, builtin
+from hessfree.probe import best_t_probe, jensen_probe
 from hessfree.vecspace import Configuration, SimplexWeights
 
 ZOO = {
@@ -270,3 +275,68 @@ class TestProbeLog:
         kinds = {k for k, _ in log.rows}
         assert "two_point" in kinds and "config" in kinds
         assert {r.n for k, r in log.rows if k == "two_point"} == {2}
+
+
+def _reference_configs(F, budget):
+    """The random-configuration phase one configuration at a time, in
+    stream order."""
+    for b, count in _batches(budget.random_configs):
+        rng = stream_rng(budget.seed, STREAM_CONFIGS, b)
+        for _ in range(count):
+            c = sample_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius)
+            yield jensen_probe(F, c)
+
+
+def _same_probe(a, b):
+    return ((a.gap, a.spread, a.ratio, a.value_scale, a.point_scale)
+            == (b.gap, b.spread, b.ratio, b.value_scale, b.point_scale)
+            and np.array_equal(a.config.points, b.config.points)
+            and np.array_equal(a.config.weights.weights, b.config.weights.weights))
+
+
+def _bump_oracle(centre):
+    """An affine map plus a narrow bump at one point: only a configuration
+    with a point at the bump has a Jensen gap above rounding."""
+    a = np.array([[2.0, -1.0], [0.5, 1.0]])
+
+    def ev(x):
+        x = np.asarray(x)
+        r2 = ((x - centre) ** 2).sum(axis=-1)
+        return x @ a.T + (np.exp(-r2 / 1e-5) * 100.0)[..., None]
+
+    return VectorOracle(2, 2, ev, "bump")
+
+
+class TestConfigStreamOrder:
+    """The batched configuration phase against sample_configuration +
+    jensen_probe one configuration at a time."""
+
+    BUDGET = SearchBudget(two_point_pairs=0, random_configs=1100, ascent_steps=0, seed=9)
+
+    @pytest.mark.parametrize("target", [37, 511, 600, 1023, 1099],
+                             ids=["in_batch0", "batch0_last", "in_batch1", "batch1_last", "final_last"])
+    def test_falsify_first_hit(self, target):
+        ref = list(_reference_configs(builtin("affine"), self.BUDGET))
+        F = _bump_oracle(ref[target].config.points[0])
+        expected = next(i for i, r in enumerate(_reference_configs(F, self.BUDGET)) if violates(r, 1.0))
+        assert expected == target
+        log = ProbeLog(collect=True)
+        cert = falsify(F, 1.0, self.BUDGET, log=log)
+        want = list(_reference_configs(F, self.BUDGET))[target]
+        assert _same_probe(cert.witness, want)
+        assert cert.probes_used == log.count == len(log.rows) == target + 1
+
+    @pytest.mark.parametrize("name", ["cubic1d", "sc2", "poly_map_2d", "sc8", "zero"])
+    def test_estimate_witness(self, name):
+        # the zero map ties every ratio at 0: the first row must win
+        o = builtin("affine", [0.0, 0.0]) if name == "zero" else builtin(*ZOO[name])
+        ref = list(_reference_configs(as_vector_oracle(o), self.BUDGET))
+        best = None
+        for r in ref:
+            if best is None or _candidate_ratio(r) > _candidate_ratio(best):
+                best = r
+        log = ProbeLog(collect=True)
+        cert = estimate_L(o, self.BUDGET, log=log)
+        assert _same_probe(cert.witness, best)
+        assert log.rows == [("config", (r.config.n, r.gap, r.spread, r.ratio)) for r in ref]
+        assert cert.l_lower == best.ratio and cert.probes_used == self.BUDGET.random_configs

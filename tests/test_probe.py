@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessfree.oracles import builtin
+from hessfree.oracles import BUILTIN_NAMES, VectorOracle, as_vector_oracle, builtin
 from hessfree.probe import (
     ProbeResult,
     best_t_probe,
     jensen_probe,
+    jensen_probe_batch,
     midpoint_convexity_violation,
+    scale_floor,
     two_point_probe,
 )
 from hessfree.vecspace import Configuration, SimplexWeights
@@ -87,6 +89,75 @@ class TestJensenProbe:
         r2 = jensen_probe(F, Configuration(pts2, SimplexWeights(w2)))
         assert r2.gap == pytest.approx(r1.gap, rel=1e-12, abs=1e-12)
         assert r2.spread == pytest.approx(r1.spread, rel=1e-12, abs=1e-12)
+
+
+# one instance of every builtin kind, with d from 1 to 8
+BATCH_ZOO = {
+    "affine": [],
+    "quadratic": [],
+    "cubic1d": [1.5],
+    "separable_cubic": [3.0, 1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 1.5],
+    "norm_cubed": [],
+    "logistic_like": [2],
+    "rosenbrock": [3],
+    "poly_map_2d": [],
+}
+
+
+def _row(batch, k):
+    ratio = None if np.isnan(batch.ratio[k]) else float(batch.ratio[k])
+    return (float(batch.gap[k]), float(batch.spread[k]), ratio,
+            float(batch.value_scale[k]), float(batch.point_scale[k]))
+
+
+class TestJensenProbeBatch:
+    def test_zoo_covers_every_builtin(self):
+        assert sorted(BATCH_ZOO) == sorted(BUILTIN_NAMES)
+
+    @given(kind=st.sampled_from(sorted(BATCH_ZOO)), n=st.integers(2, 6),
+           b=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           coincident=st.sets(st.integers(0, 63), max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_jensen_probe(self, kind, n, b, seed, coincident):
+        F = as_vector_oracle(builtin(kind, BATCH_ZOO[kind]))
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((b, n, F.dim_in)) * 3.0
+        for k in coincident:
+            if k < b:
+                pts[k] = pts[k, 0]  # spread 0: ratio None
+        weights = np.stack([SimplexWeights(e / e.sum()).weights
+                            for e in rng.standard_exponential((b, n))])
+        batch = jensen_probe_batch(F, pts, weights)
+        for k in range(b):
+            r = jensen_probe(F, Configuration(pts[k], SimplexWeights(weights[k])))
+            assert _row(batch, k) == (r.gap, r.spread, r.ratio, r.value_scale, r.point_scale)
+            if k in coincident:
+                assert r.ratio is None
+
+    def test_floors_as_python_float_pow(self):
+        # point scales where numpy's square of 1 + p differs from the
+        # float pow by an ulp
+        ps = np.array([1.6309723724655112, 11.022370214478926, 13.77217501052522])
+        assert ((1.0 + ps) ** 2 != np.array([(1.0 + p) ** 2 for p in ps.tolist()])).all()
+        assert scale_floor(1e-14, ps).tolist() == [scale_floor(1e-14, p) for p in ps.tolist()]
+
+    def test_non_finite_mid_batch_raises_as_jensen_probe(self):
+        F = VectorOracle(1, 1, lambda x: np.where(np.asarray(x) > 9.0, np.inf, np.asarray(x) ** 2), "blowup")
+        pts = np.random.default_rng(0).uniform(-1, 1, (5, 3, 1))
+        pts[2, 1, 0] = 10.0
+        w = np.full((5, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError) as single:
+            jensen_probe(F, Configuration(pts[2], SimplexWeights(w[2])))
+        with pytest.raises(ValueError) as batched:
+            jensen_probe_batch(F, pts, w)
+        assert str(batched.value) == str(single.value) == "non-finite output from oracle 'blowup'"
+
+    def test_shapes_checked(self):
+        F = builtin("poly_map_2d")
+        with pytest.raises(ValueError, match="dim 1 != oracle dim_in 2"):
+            jensen_probe_batch(F, np.zeros((3, 2, 1)), np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="weights"):
+            jensen_probe_batch(F, np.zeros((3, 2, 2)), np.full((3, 3), 1.0 / 3.0))
 
 
 class TestSoundnessAgainstKnownL:

@@ -29,7 +29,9 @@ import numpy as np
 
 from .oracles import DomainSampler, ScalarOracle, VectorOracle, as_vector_oracle, lip_from_hessians, lip_from_jacobians
 from .probe import ProbeBatch, ProbeResult, best_t_probe, jensen_probe, jensen_probe_batch, scale_floor
-from .vecspace import Configuration, Matrix, SimplexWeights
+# SimplexWeights is not called here (a configuration batch normalizes its
+# weights with simplex_rows); the name stays for perfbench's span tracer
+from .vecspace import Configuration, Matrix, SimplexWeights, Vector, simplex_rows  # noqa: F401
 
 RNG_ALGORITHM = "numpy-pcg64/seedseq(seed,stream,batch)"
 
@@ -196,11 +198,13 @@ def violates(r: ProbeResult | ProbeBatch, claimed_l: float):
 
 def _draw_configuration(
     rng: np.random.Generator, dim: int, max_n: int, radius: float
-) -> tuple[Matrix, SimplexWeights]:
+) -> tuple[Matrix, Vector]:
+    """Points and weights as drawn; the weights become SimplexWeights
+    (one configuration) or simplex_rows (a batch) before any probe."""
     n = int(rng.integers(2, max_n + 1))
     pts = rng.standard_normal((n, dim)) * (radius / math.sqrt(dim))
     e = rng.standard_exponential(n)
-    return pts, SimplexWeights(e / e.sum())
+    return pts, e / e.sum()
 
 
 def sample_configuration(
@@ -237,16 +241,17 @@ def _two_point_results(
 
 
 def _probe_draws(
-    F: VectorOracle, draws: list[tuple[Matrix, SimplexWeights]], ns: list[int]
+    F: VectorOracle, draws: list[tuple[Matrix, Vector]], ns: list[int]
 ) -> ProbeBatch:
     """jensen_probe_batch on configurations of ns[k] points each, one call
-    per n, with the rows put back in draw order."""
+    per n with the weights normalized as SimplexWeights would, with the
+    rows put back in draw order."""
     out = np.empty((len(ProbeBatch._fields), len(draws)))
     # sorted(set()), not np.unique, which imports numpy.ma (about 1 MB)
     for n in sorted(set(ns)):
         rows = np.flatnonzero(np.equal(ns, n))
         pts = np.stack([draws[k][0] for k in rows])
-        w = np.stack([draws[k][1].weights for k in rows])
+        w = simplex_rows(np.stack([draws[k][1] for k in rows]))
         out[:, rows] = jensen_probe_batch(F, pts, w)
     return ProbeBatch(*out)
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .vecspace import Matrix, Vector, as_point, norm2, row_dots
+from .vecspace import Matrix, Vector, as_point, as_stack, norm2, row_dots
 
 _EPS = float(np.finfo(np.float64).eps)
 FD_VALUE_STEP = _EPS ** (1.0 / 3.0)  # central differences on values
@@ -350,12 +350,18 @@ def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
 
 
 def central_differences(
-    fn: Callable[[np.ndarray], np.ndarray], x: Matrix, steps: Matrix
+    fn: Callable[[np.ndarray], np.ndarray],
+    x: Matrix,
+    steps: Matrix,
+    directions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Derivatives of a batch-capable map at the rows of x (B, d) by
-    central differences (fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k)
-    with per-coordinate steps h = steps (B, d); a (B, m, d) stack."""
-    shift = steps[:, :, None] * np.eye(x.shape[1])
+    central differences (fn(x + h_k u_k) - fn(x - h_k u_k)) / (2 h_k)
+    along K directions u_k, (K, d) or (B, K, d), with steps h = steps
+    (B, K); a (B, m, K) stack.  The directions default to the basis
+    vectors e_k, giving the (B, m, d) Jacobians.  fn sees the points as
+    one (B, K, d) stack."""
+    shift = steps[:, :, None] * (np.eye(x.shape[1]) if directions is None else directions)
     fp = np.asarray(fn(x[:, None, :] + shift), dtype=np.float64)
     fm = np.asarray(fn(x[:, None, :] - shift), dtype=np.float64)
     if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
@@ -387,14 +393,16 @@ def fd_hessian(o: ScalarOracle, x: Vector) -> Matrix:
     return central_differences(o.gradient, x, _gradient_steps(x))[0]
 
 
-def fd_jacobian(F: VectorOracle, x: Vector) -> Matrix:
+def fd_jacobian(F: VectorOracle, x: Vector | Matrix) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued map, column by
-    column with per-coordinate steps."""
-    x = as_point(x)
-    if x.size != F.dim_in:
+    column with per-coordinate steps: (m, d) at one point (d,), or
+    (B, m, d) at the rows of a stack (B, d), each equal to the one-point
+    call bit for bit (F sees every point's (d, d) block of FD points)."""
+    x, single = as_stack(x)
+    if x.shape[1] != F.dim_in:
         raise ValueError("dimension mismatch")
-    x = x[None, :]
-    return central_differences(F.eval, x, _value_steps(x))[0]
+    jac = central_differences(F.eval, x, _value_steps(x))
+    return jac[0] if single else jac
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,19 @@ def as_point(x) -> Vector:
     return a
 
 
+def as_stack(x) -> tuple[Matrix, bool]:
+    """x as a finite (B, d) float64 stack, and whether it was one point:
+    a point goes through as_point and becomes a one-row stack."""
+    if np.ndim(x) <= 1:
+        return as_point(x)[None, :], True
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise ValueError(f"points must be a (B, d) stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("point has non-finite coordinates")
+    return a, False
+
+
 def inner(a: Vector, b: Vector) -> float:
     """Euclidean inner product <a, b>."""
     a = np.asarray(a, dtype=np.float64)
@@ -59,6 +72,44 @@ def row_dots(a: Matrix, b: Matrix) -> Vector:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _check_entries(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w < 0.0).any():
+        raise ValueError("weights must be nonnegative")
+
+
+def _renormalized(w: Vector, s: float) -> Vector:
+    """w, whose entries sum to s, as SimplexWeights stores it: renormalized
+    when s is within WEIGHT_SUM_SLACK of 1, rejected otherwise."""
+    if abs(s - 1.0) > WEIGHT_SUM_SLACK:
+        raise ValueError(f"weights sum to {s!r}, not 1")
+    while s != 1.0:
+        # w / s need not sum to exactly 1 either, and dividing again
+        # would move it once more; weights off from 1 by rounding alone
+        # are kept as they are unless the division lands exactly
+        scaled = w / s
+        s_scaled = float(scaled.sum())
+        if s_scaled != 1.0 and abs(s - 1.0) <= 2.0 * w.size * _EPS:
+            break
+        w, s = scaled, s_scaled
+    return w
+
+
+def simplex_rows(w: Matrix) -> Matrix:
+    """Each row of w (B, n) as SimplexWeights would store it, bit for bit:
+    the entry checks and the row sums run on the whole stack, and only
+    rows whose sum is not exactly 1 go through _renormalized."""
+    w = np.array(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise ValueError("weights must be a (B, n) stack with n >= 1")
+    _check_entries(w)
+    sums = w.sum(axis=1)  # each row summed as the 1-D w.sum() sums it
+    for i in np.flatnonzero(sums != 1.0).tolist():
+        w[i] = _renormalized(w[i], float(sums[i]))
+    return w
+
+
 @dataclass(frozen=True)
 class SimplexWeights:
     """Nonnegative weights on the probability simplex.
@@ -74,22 +125,8 @@ class SimplexWeights:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-D vector")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if (w < 0.0).any():
-            raise ValueError("weights must be nonnegative")
-        s = float(w.sum())
-        if abs(s - 1.0) > WEIGHT_SUM_SLACK:
-            raise ValueError(f"weights sum to {s!r}, not 1")
-        while s != 1.0:
-            # w / s need not sum to exactly 1 either, and dividing again
-            # would move it once more; weights off from 1 by rounding alone
-            # are kept as they are unless the division lands exactly
-            scaled = w / s
-            s_scaled = float(scaled.sum())
-            if s_scaled != 1.0 and abs(s - 1.0) <= 2.0 * w.size * _EPS:
-                break
-            w, s = scaled, s_scaled
+        _check_entries(w)
+        w = _renormalized(w, float(w.sum()))
         w = w.copy() if w is self.weights else w
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -181,6 +181,13 @@ class TestPinnedCheckReports:
                          -0.006445980588551947, -0.0036797350396646777),
                         (2.6321992330450198e-11, 4.91664836840901e-11,
                          -0.01757083571100715, 0.9999965073008242)),
+        # m = d = 8: the slices pairs run as a chunk of 16 and one of 4
+        "sc8": (["--oracle", "separable_cubic", "--params", "3", "1", "0.5", "2", "1", "1",
+                 "0.25", "1.5", "--L", "3.0"],
+                (-1.2072397475014114, 0.9804713433383079,
+                 -32.0650614525581, -3.409250643591051),
+                (3.48298899702566e-11, 9.8575655391603e-11,
+                 -6.483911123984544, 1.0)),
     }
 
     @pytest.mark.parametrize("name", CASES)

@@ -31,3 +31,26 @@ class TestFalsifySweep:
             assert falsify(o, float(claimed), budget, log=log) is None
             assert refuted == "False"
             assert int(probes) == log.count == 4 * 53 + 4 + 2
+
+
+class TestReportDiff:
+    def test_same_tree_twice_then_a_tampered_report(self, tmp_path, capsys):
+        mod = _load("report_diff")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        tiny = ["--budget-configs", "20", "--budget-pairs", "8", "--budget-ascent", "10",
+                "--pairs", "4", "--fd-pairs", "20", "--n-functionals", "2"]
+        argv = [src, src, "--oracles", "poly_map_2d", "--seeds", "5", "--work", str(tmp_path), "--", *tiny]
+        assert mod.main(argv) == 0
+        assert capsys.readouterr().out == "4 runs per tree, 0 differences\n"
+        assert mod.compare(tmp_path / "old", tmp_path / "new") == []
+
+        new = tmp_path / "new"
+        report = new / "poly_map_2d-5-slices.json"
+        tampered = report.read_text().replace('"worst_transfer_excess": -', '"worst_transfer_excess": 1')
+        assert tampered != report.read_text()
+        report.write_text(tampered)
+        (new / "poly_map_2d-5-estimate.csv").write_text("probe_index\n")
+        diffs = mod.compare(tmp_path / "old", new)
+        assert len(diffs) == 2
+        assert diffs[0] == "poly_map_2d-5-estimate.csv: contents differ"
+        assert diffs[1].startswith("poly_map_2d-5-slices: results.worst_transfer_excess: -")

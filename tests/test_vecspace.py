@@ -11,6 +11,7 @@ from hessfree.vecspace import (
     inner,
     norm2,
     pair_spread,
+    simplex_rows,
 )
 
 
@@ -103,6 +104,49 @@ class TestSimplexWeights:
         w = SimplexWeights(np.array([0.25, 0.75]))
         with pytest.raises(ValueError):
             w.weights[0] = 1.0
+
+
+def _reference_simplex(w):
+    """The one-row normalization loop SimplexWeights ran before the
+    batched simplex_rows, kept as the reference."""
+    s = float(w.sum())
+    while s != 1.0:
+        scaled = w / s
+        s_scaled = float(scaled.sum())
+        if s_scaled != 1.0 and abs(s - 1.0) <= 2.0 * w.size * np.finfo(np.float64).eps:
+            break
+        w, s = scaled, s_scaled
+    return w
+
+
+class TestSimplexRows:
+    def test_batch_equals_one_row_at_a_time(self):
+        # 10^5 draws as the configuration phase makes them (e / e.sum(),
+        # whose sum often misses 1 by an ulp), a third of them moved off 1
+        # by up to 9e-10 so that the rescaling runs too
+        rng = np.random.default_rng(11)
+        rows = total = 0
+        for n in range(2, 12):
+            e = rng.standard_exponential((10_000, n))
+            raw = np.array([r / r.sum() for r in e])
+            raw[::3] *= 1.0 + rng.uniform(-9e-10, 9e-10, (len(raw[::3]), 1))
+            got = simplex_rows(raw)
+            for r, g in zip(raw, got):
+                ref = _reference_simplex(r)
+                np.testing.assert_array_equal(g, ref)
+                np.testing.assert_array_equal(SimplexWeights(r).weights, ref)
+                rows += not np.array_equal(ref, r)
+            total += len(raw)
+        assert total == 100_000
+        assert rows > 30_000  # the rescaling path ran on many rows
+
+    def test_rejections_name_the_row(self):
+        with pytest.raises(ValueError, match="sum to 1.1"):
+            simplex_rows(np.array([[0.5, 0.5], [0.5, 0.6]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            simplex_rows(np.array([[0.5, 0.5], [1.5, -0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            simplex_rows(np.array([[np.nan, 1.0]]))
 
 
 class TestConfiguration:

@@ -4,8 +4,8 @@ Subcommands: estimate, falsify, verify, slices.  Options may come from a
 JSON config file (--config), with command-line flags taking precedence;
 unknown config keys are rejected.  A seed is mandatory — there is no
 implicit entropy anywhere.  Exit codes: 0 all checks passed / nothing
-falsified, 1 a violation or failed check was certified, 2 configuration
-or numeric error.
+falsified, 1 a violation or failed check was certified, 2 configuration,
+numeric or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .baillon_haddad import check_cocoercive, cocoercivity_residual, convexity_split_check, lipschitz_from_cocoercivity
 from .estimate import (
+    PROBE_KINDS,
     RNG_ALGORITHM,
     STREAM_CHECKS,
     NoInformativeProbeError,
@@ -222,13 +223,14 @@ def _cert_dict(cert) -> dict:
 def _probe_stats(log: ProbeLog) -> dict | None:
     if log.count == 0:
         return None
-    ratios = [r.ratio for _, r in log.rows if r.ratio is not None]
-    stats: dict = {"count": log.count, "recorded": len(log.rows)}
-    if not ratios:
+    ratios = np.array(log.ratio)
+    ratios = ratios[~np.isnan(ratios)]  # NaN marks a probe without a ratio
+    stats: dict = {"count": log.count, "recorded": len(log.ratio)}
+    if not ratios.size:
         stats["max_ratio"] = None
         stats["histogram"] = None
         return stats
-    mx = max(ratios)
+    mx = float(ratios.max())
     upper = mx if mx > 0.0 else 1.0
     counts, edges = np.histogram(ratios, bins=32, range=(0.0, upper))
     stats["max_ratio"] = mx
@@ -249,10 +251,11 @@ def _write_csv(log: ProbeLog, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["probe_index", "n", "gap", "spread", "ratio", "kind"])
-        for i, (kind, r) in enumerate(log.rows):
+        rows = zip(log.kind, log.n, log.gap, log.spread, log.ratio)
+        for i, (kind, n, gap, spread, ratio) in enumerate(rows):
             writer.writerow(
-                [i, r.n, repr(r.gap), repr(r.spread),
-                 "" if r.ratio is None else repr(r.ratio), kind]
+                [i, n, repr(gap), repr(spread),
+                 "" if math.isnan(ratio) else repr(ratio), PROBE_KINDS[kind]]
             )
 
 
@@ -594,6 +597,11 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ConfigError, ValueError, OSError, NoInformativeProbeError) as exc:
         print(f"hessfree: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # exit 2, not the traceback's 1, which would read as a certified violation
+        detail = f": {exc}" if str(exc) else ""
+        print(f"hessfree: error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

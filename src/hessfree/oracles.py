@@ -349,6 +349,12 @@ def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
     return (gp - gm) / (2.0 * h)
 
 
+# points per oracle call of a finite difference: every FD stack, and with
+# it every FD consumer's working set, is bounded by this count instead of
+# growing with the batch size times d^2
+_FD_POINTS = 2048
+
+
 def central_differences(
     fn: Callable[[np.ndarray], np.ndarray],
     x: Matrix,
@@ -359,14 +365,31 @@ def central_differences(
     central differences (fn(x + h_k u_k) - fn(x - h_k u_k)) / (2 h_k)
     along K directions u_k, (K, d) or (B, K, d), with steps h = steps
     (B, K); a (B, m, K) stack.  The directions default to the basis
-    vectors e_k, giving the (B, m, d) Jacobians.  fn sees the points as
-    one (B, K, d) stack."""
-    shift = steps[:, :, None] * (np.eye(x.shape[1]) if directions is None else directions)
-    fp = np.asarray(fn(x[:, None, :] + shift), dtype=np.float64)
-    fm = np.asarray(fn(x[:, None, :] - shift), dtype=np.float64)
-    if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-        raise ValueError("non-finite oracle value in finite difference")
-    return ((fp - fm) / (2.0 * steps[:, :, None])).transpose(0, 2, 1)
+    vectors e_k, giving the (B, m, d) Jacobians.
+
+    fn sees the points as (b, K, d) stacks of at most _FD_POINTS points
+    (one row, K points, when K is larger), so a call's working set does
+    not grow with B.  Every entry is computed elementwise from its own row
+    and each FD point stays an entry of a (b, K, d) stack, so the result
+    does not depend on the block size: a matmul oracle sees the same
+    (K, d) matrices whatever b is."""
+    u = np.eye(x.shape[1]) if directions is None else directions
+    rows = max(1, _FD_POINTS // steps.shape[1])
+    out = None
+    # an empty x still makes one (empty) call, which gives the output shape
+    for lo in range(0, max(len(x), 1), rows):
+        h = steps[lo : lo + rows, :, None]
+        shift = h * (u if u.ndim == 2 else u[lo : lo + rows])
+        fp = np.asarray(fn(x[lo : lo + rows, None, :] + shift), dtype=np.float64)
+        fm = np.asarray(fn(x[lo : lo + rows, None, :] - shift), dtype=np.float64)
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
+            raise ValueError("non-finite oracle value in finite difference")
+        if out is None:
+            out = np.empty((len(x), *fp.shape[1:]))
+        out[lo : lo + rows] = (fp - fm) / (2.0 * h)
+    # the transposed view, as one whole-stack call returns it: a matmul
+    # on the result takes the same path, so it rounds the same way
+    return out.transpose(0, 2, 1)
 
 
 def _gradient_steps(x: Matrix) -> Matrix:
@@ -410,7 +433,6 @@ def fd_jacobian(F: VectorOracle, x: Vector | Matrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MIN_PAIR_DIST = 1e-9
-_FD_CHUNK = 512  # pairs per batched FD step: bounds the working set
 
 
 def _lip_from_derivatives(
@@ -421,15 +443,23 @@ def _lip_from_derivatives(
 ) -> float:
     """max over budget sampled pairs of ||D(x) - D(y)|| / ||x - y|| in
     the exact spectral norm, where derivative maps points (B, d) to
-    derivative matrices (B, m, d).  Pairs are drawn x then y from rng,
-    _FD_CHUNK at a time; pairs closer than _MIN_PAIR_DIST are skipped."""
+    derivative matrices (B, m, d).  Pairs closer than _MIN_PAIR_DIST are
+    skipped.
+
+    Pairs are drawn x then y from rng, _FD_POINTS // (4 d) at a time: a
+    pair's two central-difference Jacobians take 4 d points, so a chunk is
+    one oracle call per sign and its derivative stack stays bounded as d
+    grows.  uniform draws one double per coordinate, so every chunk size
+    draws the same pairs, and the max over chunks does not depend on how
+    they are cut."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if sampler.radius <= 0.0:
         raise ValueError("degenerate sampler domain")
+    chunk = max(1, _FD_POINTS // (4 * sampler.dim))
     best = 0.0
-    for start in range(0, budget, _FD_CHUNK):
-        n = min(_FD_CHUNK, budget - start)
+    for start in range(0, budget, chunk):
+        n = min(chunk, budget - start)
         pairs = sampler.uniform(rng, 2 * n).reshape(n, 2, sampler.dim)
         diff = pairs[:, 0] - pairs[:, 1]
         dist = np.sqrt(row_dots(diff, diff))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hessfree import cli
 from hessfree.cli import main
+from hessfree.oracles import VectorOracle
 
 FAST = [
     "--budget-configs", "150", "--budget-pairs", "40", "--budget-ascent", "40",
@@ -255,6 +257,20 @@ class TestBadInput:
                 "--domain-radius", "1e-12", "--out", str(out)]
         assert run(argv + FAST) == 2
         assert "no informative probe" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory(self, monkeypatch, tmp_path, capsys):
+        # exit 1 means a certified violation, so an oracle that runs out of
+        # memory must not end there
+        def ev(x):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr(cli, "builtin", lambda name, params: VectorOracle(2, 2, ev, "oom"))
+        out = tmp_path / "r.json"
+        argv = ["falsify", "--oracle", "poly_map_2d", "--claimed-L", "1", "--seed", "1",
+                "--out", str(out)]
+        assert run(argv + FAST) == 2
+        assert capsys.readouterr().err == "hessfree: error: out of memory: Unable to allocate 2.00 GiB\n"
         assert not out.exists()
 
     def test_config_file_value_checked(self, tmp_path, capsys):

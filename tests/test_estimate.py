@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hessfree.estimate import (
     violates,
 )
 from hessfree.oracles import VectorOracle, as_vector_oracle, builtin
-from hessfree.probe import best_t_probe, jensen_probe
+from hessfree.probe import ProbeBatch, best_t_probe, jensen_probe
 from hessfree.vecspace import Configuration, SimplexWeights
 
 ZOO = {
@@ -340,3 +341,48 @@ class TestConfigStreamOrder:
         assert _same_probe(cert.witness, best)
         assert log.rows == [("config", (r.config.n, r.gap, r.spread, r.ratio)) for r in ref]
         assert cert.l_lower == best.ratio and cert.probes_used == self.BUDGET.random_configs
+
+
+class TestWorkingSet:
+    """Memory an op holds does not grow with budget x d^2."""
+
+    def test_fd_cross_check_bounded_at_d128(self):
+        # one 200-pair FD stack at d = 128 is 52 MB per array
+        o = builtin("separable_cubic", [3.0] + [1.0] * 127)
+        budget = SearchBudget(two_point_pairs=4, random_configs=4, ascent_steps=4, seed=1)
+        tracemalloc.start()
+        try:
+            rep = cross_validate(o, budget, fd_pairs=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.l_fd > 0.0
+        assert peak < 16e6
+
+    def test_probe_log_packed(self):
+        F = as_vector_oracle(builtin("separable_cubic", [3.0, 1.0]))
+        rng = np.random.default_rng(2)
+        single = jensen_probe(F, sample_configuration(rng, 2, 4, 5.0))
+        cols = rng.uniform(0.0, 1.0, (len(ProbeBatch._fields), 500))
+        cols[ProbeBatch._fields.index("ratio"), ::7] = np.nan
+        batch = ProbeBatch(*cols)
+        ns = rng.integers(2, 5, 500).tolist()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = ProbeLog(collect=True)
+            for _ in range(16):
+                log.add_batch("config", ns, batch, 0, 500)
+            for _ in range(2000):
+                log.add("ascent", single)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert log.count == 10_000
+        assert kept < 0.5e6
+        rows = log.rows
+        assert len(rows) == 10_000
+        ratio = [None if np.isnan(v) else v for v in batch.ratio.tolist()]
+        assert rows[:500] == [("config", r) for r in zip(ns, batch.gap.tolist(), batch.spread.tolist(), ratio)]
+        assert rows[-1] == ("ascent", (single.config.n, single.gap, single.spread, single.ratio))
+        assert all(type(v) is float for v in rows[0][1][1:3])

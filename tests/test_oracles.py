@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hessfree import oracles
+from hessfree.cli import _build_parser, _merge_config, _verify_functional_checks
 from hessfree.estimate import STREAM_FD, stream_rng
 from hessfree.oracles import (
     BUILTIN_NAMES,
@@ -9,6 +11,7 @@ from hessfree.oracles import (
     FD_VALUE_STEP,
     ScalarOracle,
     VectorOracle,
+    as_vector_oracle,
     builtin,
     central_differences,
     fd_gradient,
@@ -18,7 +21,7 @@ from hessfree.oracles import (
     lip_from_hessians,
     lip_from_jacobians,
 )
-from hessfree.slices import derivative_norm_via_functionals
+from hessfree.slices import derivative_norm_via_functionals, difference_matrix
 
 
 def spectral_norm_2x2_closed_form(a):
@@ -320,3 +323,77 @@ class TestLipFromJacobians:
         rng = np.random.default_rng(42)
         est = lip_from_jacobians(builtin("poly_map_2d"), DomainSampler(2), 5000, rng)
         assert 1.9 <= est <= 2.0 * (1 + 1e-4)
+
+
+# every builtin kind, at dims where the FD blocks split rows, plus an 8x8
+# quadratic
+FD_BUDGET_ZOO = {
+    "affine": [],
+    "quadratic": [],
+    "cubic1d": [1.0],
+    "separable_cubic": [3.0, 1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 1.5],
+    "norm_cubed": [5],
+    "logistic_like": [3],
+    "rosenbrock": [4],
+    "poly_map_2d": [],
+    "quadratic8": [float((3 * i + 5 * j) % 7 - 3) for i in range(8) for j in range(8)],
+}
+
+
+def _fd_budget_oracle(name):
+    return builtin("quadratic" if name == "quadratic8" else name, FD_BUDGET_ZOO[name])
+
+
+def _fd_results(name):
+    """Every FD consumer's output on one oracle, from fixed draws."""
+    o = _fd_budget_oracle(name)
+    F = as_vector_oracle(o)
+    rng = np.random.default_rng(11)
+    xs, ys = rng.uniform(-3, 3, (2, 13, F.dim_in))
+    sampler = DomainSampler(F.dim_in, 5.0)
+    out = {
+        "lip_jac": lip_from_jacobians(F, sampler, 9, stream_rng(5, STREAM_FD)),
+        "fd_jacobian": fd_jacobian(F, xs),
+        "difference_matrix": difference_matrix(F, xs, ys),
+    }
+    if isinstance(o, ScalarOracle):
+        out["lip_hess"] = lip_from_hessians(o, sampler, 9, stream_rng(5, STREAM_FD))
+    args = _build_parser().parse_args(
+        ["verify", "--oracle", "x", "--seed", "3", "--L", "1", "--pairs", "5", "--n-functionals", "2"])
+    out["verify"] = _verify_functional_checks(F, _merge_config(args), 1.0)
+    return out
+
+
+class TestFdPointBudget:
+    """central_differences evaluates at most _FD_POINTS points per call;
+    no result depends on that budget."""
+
+    @pytest.mark.parametrize("points", [1, 7, 10**9], ids=["one", "odd", "whole_stack"])
+    def test_results_independent_of_budget(self, points, monkeypatch):
+        for name in FD_BUDGET_ZOO:
+            want = _fd_results(name)
+            monkeypatch.setattr(oracles, "_FD_POINTS", points)
+            got = _fd_results(name)
+            monkeypatch.undo()
+            assert got.keys() == want.keys()
+            for key in want:
+                if isinstance(want[key], np.ndarray):
+                    np.testing.assert_array_equal(got[key], want[key], err_msg=f"{name} {key}")
+                else:
+                    assert got[key] == want[key], f"{name} {key}"
+
+    def test_calls_bounded_and_cover_every_row(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_FD_POINTS", 7)
+        F = builtin("poly_map_2d")
+        shapes = []
+
+        def fn(p):
+            shapes.append(p.shape)
+            return F.eval(p)
+
+        x = np.random.default_rng(0).uniform(-2, 2, (13, 2))
+        rows = central_differences(fn, x, FD_VALUE_STEP * np.maximum(1.0, np.abs(x)))
+        # 3 rows of 2 points per block: 5 blocks, each called at +h and -h
+        assert shapes == [(3, 2, 2)] * 8 + [(1, 2, 2)] * 2
+        np.testing.assert_array_equal(rows, fd_jacobian(F, x))
+        assert central_differences(fn, x[:0], np.ones((0, 2))).shape == (0, 2, 2)

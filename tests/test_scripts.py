@@ -54,3 +54,16 @@ class TestReportDiff:
         assert len(diffs) == 2
         assert diffs[0] == "poly_map_2d-5-estimate.csv: contents differ"
         assert diffs[1].startswith("poly_map_2d-5-slices: results.worst_transfer_excess: -")
+
+
+class TestRssByDim:
+    def test_smoke(self, capsys):
+        tiny = ["--budget-configs", "20", "--budget-pairs", "8", "--budget-ascent", "10",
+                "--pairs", "4", "--fd-pairs", "20", "--n-functionals", "2"]
+        assert _load("rss_by_dim").main(["--dims", "2", "3", "--", *tiny]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["command", "d", "exit", "maxrss_mb", "wall_s"]
+        rows = [line.split() for line in lines[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (c, d, "0") for c in ("estimate", "verify", "slices") for d in ("2", "3")]
+        assert all(float(r[3]) > 1.0 and float(r[4]) >= 0.0 for r in rows)

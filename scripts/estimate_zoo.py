@@ -7,6 +7,7 @@ over the whole builtin zoo and print a comparison table.
 
 import argparse
 import json
+import sys
 
 from hessfree.estimate import SearchBudget, cross_validate
 from hessfree.oracles import BUILTIN_NAMES, builtin
@@ -23,13 +24,17 @@ def main() -> int:
     ap.add_argument("--json", help="optional JSON output path")
     args = ap.parse_args()
 
-    budget = SearchBudget(
-        two_point_pairs=args.budget * 2 // 5,
-        random_configs=args.budget * 2 // 5,
-        ascent_steps=args.budget // 5,
-        seed=args.seed,
-        domain_radius=args.domain_radius,
-    )
+    try:
+        budget = SearchBudget(
+            two_point_pairs=args.budget * 2 // 5,
+            random_configs=args.budget * 2 // 5,
+            ascent_steps=args.budget // 5,
+            seed=args.seed,
+            domain_radius=args.domain_radius,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows = []
     print(f"{'oracle':28s} {'known_L':>9s} {'L_probe':>12s} {'L_fd':>12s} {'consistent':>10s}")

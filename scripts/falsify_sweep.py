@@ -31,16 +31,15 @@ def main() -> int:
 
     try:
         o = builtin(args.oracle, args.params)
+        budget = SearchBudget(
+            two_point_pairs=args.budget * 2 // 5,
+            random_configs=args.budget * 2 // 5,
+            ascent_steps=args.budget // 5,
+            seed=args.seed,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    budget = SearchBudget(
-        two_point_pairs=args.budget * 2 // 5,
-        random_configs=args.budget * 2 // 5,
-        ascent_steps=args.budget // 5,
-        seed=args.seed,
-    )
 
     rows = []
     print(f"{'claimed_L':>10s} {'refuted':>8s} {'probes':>8s} {'margin':>12s}")

@@ -2,7 +2,16 @@
 
 Subcommands: estimate, falsify, verify, slices.  Options may come from a
 JSON config file (--config), with command-line flags taking precedence;
-unknown config keys are rejected.  A seed is mandatory — there is no
+unknown config keys are rejected.  ``_OPTIONS`` is the one place an
+option is declared: its config key, flag, default, type, range check and
+help text.  The parser, ``_DEFAULTS``, ``RunConfig`` and every
+"<key> must be ..." check are derived from it.
+
+A config value must have its option's JSON type: an integer option takes
+a JSON integer, a number option any JSON number (an integer becomes a
+float), a string option a string and ``params`` a list of numbers.  true
+and false are not numbers.  null means "not given", and only an option
+without a default may be left so.  A seed is mandatory — there is no
 implicit entropy anywhere.  Exit codes: 0 all checks passed / nothing
 falsified, 1 a violation or failed check was certified, 2 configuration,
 numeric or out-of-memory error.
@@ -16,7 +25,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, make_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,12 +40,10 @@ from .estimate import (
     ProbeLog,
     SearchBudget,
     cross_validate,
-    estimate_L,
     falsify,
     stream_rng,
 )
-from .oracles import DomainSampler, ScalarOracle, as_vector_oracle, builtin, fd_jacobian
-from .probe import ProbeResult
+from .oracles import DomainSampler, as_vector_oracle, builtin, fd_jacobian
 # derivative_norm_via_functionals is not called here (cmd_slices takes the
 # pair norms from sampled_norm); the name stays for perfbench's span tracer
 from .slices import (  # noqa: F401
@@ -52,69 +60,90 @@ from .slices import (  # noqa: F401
 )
 from .vecspace import norm2, row_dots
 
-_CONFIG_KEYS = {
-    "oracle": str,
-    "params": list,
-    "seed": int,
-    "claimed_L": float,
-    "L": float,
-    "budget_configs": int,
-    "budget_pairs": int,
-    "budget_ascent": int,
-    "max_n": int,
-    "domain_radius": float,
-    "n_functionals": int,
-    "pairs": int,
-    "fd_pairs": int,
-    "out": str,
-    "csv": str,
+
+class _Option(NamedTuple):
+    kind: type  # int, float, str, or list for a list of floats
+    default: object  # None: not given unless set
+    check: tuple[Callable, str] | None  # (test, what a value passing it is)
+    help: str
+    budget: str | None = None  # the SearchBudget field it sets
+    commands: tuple[str, ...] = ("estimate", "falsify", "verify", "slices")  # take --<key>
+    required: bool = False  # each command taking its flag needs a value
+
+
+def _at_least(lo: int) -> tuple[Callable, str]:
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+_FINITE_NONNEG = (lambda v: math.isfinite(v) and v >= 0.0), "finite and >= 0"
+
+_OPTIONS = {
+    "oracle": _Option(str, None, None, "builtin oracle name", required=True),
+    "params": _Option(list, [], None, "oracle parameters"),
+    "seed": _Option(int, None, ((lambda v: 0 <= v < 2**64), "in [0, 2**64)"), "RNG seed (mandatory)",
+                    budget="seed", required=True),
+    "budget_configs": _Option(int, SearchBudget.random_configs, _at_least(0),
+                              "random configurations probed", budget="random_configs"),
+    "budget_pairs": _Option(int, SearchBudget.two_point_pairs, _at_least(0),
+                            "two-point pairs probed", budget="two_point_pairs"),
+    "budget_ascent": _Option(int, SearchBudget.ascent_steps, _at_least(0),
+                             "coordinate-ascent steps", budget="ascent_steps"),
+    "max_n": _Option(int, SearchBudget.max_n, _at_least(2),
+                     "most points in a random configuration", budget="max_n"),
+    "domain_radius": _Option(float, SearchBudget.domain_radius,
+                             ((lambda v: math.isfinite(v) and v > 0.0), "finite and > 0"),
+                             "radius of the sampled domain", budget="domain_radius"),
+    "n_functionals": _Option(int, 8, _at_least(1), "unit functionals per check"),
+    "pairs": _Option(int, 400, _at_least(1), "pair budget for the check suites"),
+    "fd_pairs": _Option(int, 10_000, _at_least(1), "pairs in the finite-difference cross-check"),
+    "out": _Option(str, None, None, "report JSON path (stdout when omitted)"),
+    "csv": _Option(str, None, None, "per-probe CSV path"),
+    "claimed_L": _Option(float, None, _FINITE_NONNEG, "the constant to refute",
+                         commands=("falsify",), required=True),
+    "L": _Option(float, None, _FINITE_NONNEG, "the constant to check",
+                 commands=("verify", "slices"), required=True),
 }
 
-_DEFAULTS = {
-    "params": [],
-    "budget_configs": 4000,
-    "budget_pairs": 4000,
-    "budget_ascent": 2000,
-    "max_n": 4,
-    "domain_radius": 5.0,
-    "n_functionals": 8,
-    "pairs": 400,
-    "fd_pairs": 10_000,
-}
+_DEFAULTS = {key: opt.default for key, opt in _OPTIONS.items() if opt.default is not None}
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    oracle: str
-    params: tuple[float, ...]
-    seed: int
-    claimed_L: float | None
-    L: float | None
-    budget_configs: int
-    budget_pairs: int
-    budget_ascent: int
-    max_n: int
-    domain_radius: float
-    n_functionals: int
-    pairs: int
-    fd_pairs: int
-    out: str | None
-    csv: str | None
+def _search_budget(cfg) -> SearchBudget:
+    return SearchBudget(**{opt.budget: getattr(cfg, key) for key, opt in _OPTIONS.items() if opt.budget})
 
-    def budget(self) -> SearchBudget:
-        return SearchBudget(
-            random_configs=self.budget_configs,
-            ascent_steps=self.budget_ascent,
-            two_point_pairs=self.budget_pairs,
-            seed=self.seed,
-            max_n=self.max_n,
-            domain_radius=self.domain_radius,
-        )
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str), *((key, opt.kind) for key, opt in _OPTIONS.items())],
+    namespace={"budget": _search_budget},
+    frozen=True,
+)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list of numbers"}
+
+
+def _is_number(value, kind: type = float) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+
+
+def _typed(key: str, value, kind: type):
+    """value as its option's kind, or a ConfigError naming the key."""
+    if kind is str:
+        ok = isinstance(value, str)
+    elif kind is list:
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    else:
+        ok = _is_number(value, kind)
+    if ok:
+        try:
+            return tuple(map(float, value)) if kind is list else kind(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            pass
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -122,7 +151,7 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a single JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS)
+    unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return data
@@ -132,48 +161,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = dict(_DEFAULTS)
     if args.config:
         merged.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _OPTIONS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
 
-    if "oracle" not in merged:
-        raise ConfigError("an oracle must be given (--oracle or config key)")
-    if "seed" not in merged:
-        raise ConfigError("a seed is mandatory (--seed or config key)")
-    if args.command == "falsify" and merged.get("claimed_L") is None:
-        raise ConfigError("falsify needs --claimed-L")
-    if args.command in ("verify", "slices") and merged.get("L") is None:
-        raise ConfigError(f"{args.command} needs --L")
-
-    cfg = RunConfig(
-        command=args.command,
-        oracle=str(merged["oracle"]),
-        params=tuple(float(p) for p in merged.get("params", [])),
-        seed=int(merged["seed"]),
-        claimed_L=None if merged.get("claimed_L") is None else float(merged["claimed_L"]),
-        L=None if merged.get("L") is None else float(merged["L"]),
-        budget_configs=int(merged["budget_configs"]),
-        budget_pairs=int(merged["budget_pairs"]),
-        budget_ascent=int(merged["budget_ascent"]),
-        max_n=int(merged["max_n"]),
-        domain_radius=float(merged["domain_radius"]),
-        n_functionals=int(merged["n_functionals"]),
-        pairs=int(merged["pairs"]),
-        fd_pairs=int(merged["fd_pairs"]),
-        out=merged.get("out"),
-        csv=merged.get("csv"),
-    )
-    for key in ("claimed_L", "L"):
-        value = getattr(cfg, key)
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
-    for key in ("pairs", "n_functionals", "fd_pairs"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)!r}")
-    if not (math.isfinite(cfg.domain_radius) and cfg.domain_radius > 0.0):
-        raise ConfigError(f"domain_radius must be finite and > 0, got {cfg.domain_radius!r}")
-    return cfg
+    values = {}
+    for key, opt in _OPTIONS.items():
+        value = merged.get(key)
+        if value is None and opt.required and args.command in opt.commands:
+            raise ConfigError(f"{key} must be given (--{key.replace('_', '-')} or config key)")
+        if value is not None or opt.default is not None:
+            value = _typed(key, value, opt.kind)
+            if opt.check is not None and not opt.check[0](value):
+                raise ConfigError(f"{key} must be {opt.check[1]}, got {value!r}")
+        values[key] = value
+    return RunConfig(command=args.command, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +201,11 @@ def _plain(obj):
     return obj
 
 
-def _probe_dict(r: ProbeResult) -> dict:
-    return _plain(
-        {
-            "gap": r.gap,
-            "spread": r.spread,
-            "ratio": r.ratio,
-            "oracle_label": r.oracle_label,
-            "config": {
-                "points": r.config.points,
-                "weights": r.config.weights.weights,
-            },
-        }
-    )
-
-
 def _cert_dict(cert) -> dict:
-    d = asdict(cert)
-    d["witness"] = _probe_dict(cert.witness)
-    d["budget"] = _plain(asdict(cert.budget))
-    return _plain(d)
+    w = cert.witness
+    witness = {"gap": w.gap, "spread": w.spread, "ratio": w.ratio, "oracle_label": w.oracle_label,
+               "config": {"points": w.config.points, "weights": w.config.weights.weights}}
+    return {**asdict(cert), "witness": witness}
 
 
 def _probe_stats(log: ProbeLog) -> dict | None:
@@ -259,26 +247,14 @@ def _write_csv(log: ProbeLog, path: str) -> None:
             )
 
 
-def _base_report(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "config": _plain(asdict(cfg)),
-        "version": __version__,
-        "rng": {"algorithm": RNG_ALGORITHM, "seed": cfg.seed},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(cfg: RunConfig) -> tuple[dict, int]:
-    oracle = builtin(cfg.oracle, cfg.params)
-    log = ProbeLog(collect=True)
+def cmd_estimate(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     cv = cross_validate(oracle, cfg.budget(), fd_pairs=cfg.fd_pairs, log=log)
-    report = _base_report(cfg)
-    report["results"] = {
+    results = {
         "l_lower": cv.l_probe,
         "l_fd": cv.l_fd,
         "consistent": cv.consistent,
@@ -286,20 +262,13 @@ def cmd_estimate(cfg: RunConfig) -> tuple[dict, int]:
         "certificate": _cert_dict(cv.certificate),
         "fd_pairs": cv.fd_pairs,
     }
-    report["verdicts"] = {"cross_validation_consistent": cv.consistent}
-    report["probe_stats"] = _probe_stats(log)
-    if cfg.csv:
-        _write_csv(log, cfg.csv)
-    return report, 0
+    return results, {"cross_validation_consistent": cv.consistent}, 0
 
 
-def cmd_falsify(cfg: RunConfig) -> tuple[dict, int]:
-    oracle = builtin(cfg.oracle, cfg.params)
-    log = ProbeLog(collect=True)
+def cmd_falsify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     cert = falsify(oracle, cfg.claimed_L, cfg.budget(), log=log)
-    report = _base_report(cfg)
     found = cert is not None
-    report["results"] = {
+    results = {
         "claimed_L": cfg.claimed_L,
         "violation_found": found,
         "certificate": _cert_dict(cert) if found else None,
@@ -309,11 +278,7 @@ def cmd_falsify(cfg: RunConfig) -> tuple[dict, int]:
             else "no violation found within budget; this does NOT prove the claimed constant"
         ),
     }
-    report["verdicts"] = {"claim_refuted": found}
-    report["probe_stats"] = _probe_stats(log)
-    if cfg.csv:
-        _write_csv(log, cfg.csv)
-    return report, 1 if found else 0
+    return results, {"claim_refuted": found}, 1 if found else 0
 
 
 def _verify_functional_checks(F, cfg: RunConfig, l_eff: float) -> dict:
@@ -385,11 +350,9 @@ def _verify_functional_checks(F, cfg: RunConfig, l_eff: float) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    oracle = builtin(cfg.oracle, cfg.params)
+def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     F = as_vector_oracle(oracle)
     l_eff = max(cfg.L, 1e-9)
-    log = ProbeLog(collect=True)
 
     violation = falsify(oracle, cfg.L, cfg.budget(), log=log)
     func_checks = _verify_functional_checks(F, cfg, l_eff)
@@ -408,35 +371,20 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     }
     verdicts["all"] = all(verdicts.values())
 
-    report = _base_report(cfg)
-    report["results"] = {
+    results = {
         "L": cfg.L,
         "probe_soundness": {
             "passed": violation is None,
             "violation": None if violation is None else _cert_dict(violation),
         },
         **func_checks,
-        "slice_smoothness": _plain(
-            {
-                "passed": smooth.passed,
-                "worst_excess": smooth.worst_excess,
-                "witness": None
-                if smooth.witness is None
-                else {
-                    "functional": smooth.witness.functional,
-                    "x": smooth.witness.x,
-                    "y": smooth.witness.y,
-                    "grad_dist": smooth.witness.grad_dist,
-                    "bound": smooth.witness.bound,
-                },
-            }
-        ),
+        "slice_smoothness": {
+            "passed": smooth.passed,
+            "worst_excess": smooth.worst_excess,
+            "witness": None if smooth.witness is None else asdict(smooth.witness),
+        },
     }
-    report["verdicts"] = _plain(verdicts)
-    report["probe_stats"] = _probe_stats(log)
-    if cfg.csv:
-        _write_csv(log, cfg.csv)
-    return report, 0 if verdicts["all"] else 1
+    return results, verdicts, 0 if verdicts["all"] else 1
 
 
 # pairs per cmd_slices chunk: a chunk holds each pair's 1000 drawn sup
@@ -450,8 +398,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
-def cmd_slices(cfg: RunConfig) -> tuple[dict, int]:
-    oracle = builtin(cfg.oracle, cfg.params)
+def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     F = as_vector_oracle(oracle)
     rng = stream_rng(cfg.seed, STREAM_CHECKS, 2)
     sampler = DomainSampler(F.dim_in, cfg.domain_radius)
@@ -525,21 +472,14 @@ def cmd_slices(cfg: RunConfig) -> tuple[dict, int]:
     }
     verdicts["all"] = all(verdicts.values())
 
-    report = _base_report(cfg)
-    report["results"] = _plain(
-        {
-            "L": cfg.L,
-            "worst_reconstruction_rel_err": worst_rel,
-            "worst_linearity_rel_err": worst_lin,
-            "worst_transfer_excess": None if worst_transfer == -np.inf else worst_transfer,
-            "min_functional_sup_realization": None
-            if worst_realization == np.inf
-            else worst_realization,
-        }
-    )
-    report["verdicts"] = _plain(verdicts)
-    report["probe_stats"] = None
-    return report, 0 if verdicts["all"] else 1
+    results = {
+        "L": cfg.L,
+        "worst_reconstruction_rel_err": worst_rel,
+        "worst_linearity_rel_err": worst_lin,
+        "worst_transfer_excess": None if worst_transfer == -np.inf else worst_transfer,
+        "min_functional_sup_realization": None if worst_realization == np.inf else worst_realization,
+    }
+    return results, verdicts, 0 if verdicts["all"] else 1
 
 
 _COMMANDS = {
@@ -566,23 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--oracle", help="builtin oracle name")
-        p.add_argument("--params", nargs="*", type=float, help="oracle parameters")
-        p.add_argument("--seed", type=int, help="RNG seed (mandatory)")
-        p.add_argument("--budget-configs", dest="budget_configs", type=int)
-        p.add_argument("--budget-pairs", dest="budget_pairs", type=int)
-        p.add_argument("--budget-ascent", dest="budget_ascent", type=int)
-        p.add_argument("--max-n", dest="max_n", type=int)
-        p.add_argument("--domain-radius", dest="domain_radius", type=float)
-        p.add_argument("--n-functionals", dest="n_functionals", type=int)
-        p.add_argument("--pairs", type=int, help="pair budget for the check suites")
-        p.add_argument("--fd-pairs", dest="fd_pairs", type=int)
-        p.add_argument("--out", help="report JSON path (stdout when omitted)")
-        p.add_argument("--csv", help="per-probe CSV path")
-        if name == "falsify":
-            p.add_argument("--claimed-L", dest="claimed_L", type=float)
-        if name in ("verify", "slices"):
-            p.add_argument("--L", dest="L", type=float)
+        for key, opt in _OPTIONS.items():
+            if name in opt.commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=opt.help,
+                               type=float if opt.kind is list else opt.kind,
+                               nargs="*" if opt.kind is list else None)
     return parser
 
 
@@ -591,7 +519,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         t0 = time.perf_counter()
-        report, code = _COMMANDS[cfg.command](cfg)
+        oracle = builtin(cfg.oracle, cfg.params)
+        log = ProbeLog(collect=True)
+        results, verdicts, code = _COMMANDS[cfg.command](cfg, oracle, log)
+        # slices runs no probe search, so it has no probe log to write
+        if cfg.csv and cfg.command != "slices":
+            _write_csv(log, cfg.csv)
+        report = {
+            "command": cfg.command,
+            "config": _plain(asdict(cfg)),
+            "version": __version__,
+            "rng": {"algorithm": RNG_ALGORITHM, "seed": cfg.seed},
+            "results": _plain(results),
+            "verdicts": _plain(verdicts),
+            "probe_stats": _probe_stats(log),
+        }
         report["wall_time_s"] = time.perf_counter() - t0
         _write_report(report, cfg.out)
         return code

@@ -322,14 +322,6 @@ def as_vector_oracle(o: ScalarOracle | VectorOracle) -> VectorOracle:
 # ---------------------------------------------------------------------------
 
 
-def fd_gradient(o: ScalarOracle, x: Vector) -> Vector:
-    """Central-difference gradient; the cross-check for o.gradient."""
-    x = as_point(x)
-    if x.size != o.dim:
-        raise ValueError(f"point has dim {x.size}, oracle expects {o.dim}")
-    return value_gradients(o.value, x[None, :])[0]
-
-
 def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
     """Hessian-vector product via central differences of the gradient:
     (grad(x + h v) - grad(x - h v)) / (2 h), h = sqrt(eps) (1 + ||x||) / ||v||.

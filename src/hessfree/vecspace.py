@@ -50,15 +50,6 @@ def as_stack(x) -> tuple[Matrix, bool]:
     return a, False
 
 
-def inner(a: Vector, b: Vector) -> float:
-    """Euclidean inner product <a, b>."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
 def norm2(a: Vector) -> float:
     """Euclidean norm ||a||."""
     a = np.asarray(a, dtype=np.float64)

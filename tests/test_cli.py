@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -243,6 +244,14 @@ class TestBadInput:
          "domain_radius"),
         (["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "1",
           "--domain-radius", "-1"], "domain_radius"),
+        (["estimate", "--oracle", "cubic1d", "--params", "1", "--budget-ascent", "-3"],
+         "budget_ascent"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--max-n", "1", "--budget-ascent", "-3"],
+         "budget_ascent"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--max-n", "1"], "max_n"),
+        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--budget-pairs", "-1"], "budget_pairs"),
+        (["verify", "--oracle", "cubic1d", "--params", "1", "--L", "1", "--budget-configs", "-1"],
+         "budget_configs"),
     ])
     def test_rejected_with_exit_2(self, argv, key, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -272,6 +281,49 @@ class TestBadInput:
         assert run(argv + FAST) == 2
         assert capsys.readouterr().err == "hessfree: error: out of memory: Unable to allocate 2.00 GiB\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "slices"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, command, seed, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = [command, "--oracle", "poly_map_2d", "--L", "2.0"] if command == "slices" else [
+            command, "--oracle", "cubic1d", "--params", "1"]
+        assert run(argv + ["--seed", seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"hessfree: error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("params", 5, "a list of numbers"),
+        ("params", [[1]], "a list of numbers"),
+        ("params", [True], "a list of numbers"),
+        ("L", [1], "a number"),
+        ("L", True, "a number"),
+        pytest.param("domain_radius", 10**400, "a number", id="domain_radius-overflow"),
+        ("params", [1, 10**400], "a list of numbers"),
+        ("pairs", None, "an integer"),
+        ("budget_pairs", 20.9, "an integer"),
+        ("seed", 1.7, "an integer"),
+        ("seed", True, "an integer"),
+        ("oracle", 5, "a string"),
+        ("csv", 2, "a string"),
+        ("out", 1, "a string"),
+    ])
+    def test_config_value_of_wrong_type(self, key, value, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"oracle": "poly_map_2d", "seed": 1, "L": 2.0, "pairs": 4, key: value}
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.json"
+        argv = ["slices", "--config", str(cfg_path)] + ([] if key == "out" else ["--out", str(out)])
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"hessfree: error: {key} must be {message}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["oracle", "seed", "L"])
+    def test_null_required_value(self, key, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oracle": "poly_map_2d", "seed": 1, "L": 2.0, key: None}))
+        assert run(["slices", "--config", str(cfg_path)]) == 2
+        assert f"{key} must be given" in capsys.readouterr().err
 
     def test_config_file_value_checked(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -315,6 +367,56 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert run(["estimate", "--config", str(cfg_path)]) == 2
+
+
+class TestOptionSurface:
+    """The flags and defaults generated from cli._OPTIONS, pinned."""
+
+    COMMON = {
+        "-h", "--help", "--config", "--oracle", "--params", "--seed", "--budget-configs",
+        "--budget-pairs", "--budget-ascent", "--max-n", "--domain-radius", "--n-functionals",
+        "--pairs", "--fd-pairs", "--out", "--csv",
+    }
+    EXTRA = {"estimate": set(), "falsify": {"--claimed-L"}, "verify": {"--L"}, "slices": {"--L"}}
+
+    def test_flags_per_command(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.EXTRA)
+        for name, p in sub.choices.items():
+            assert {f for a in p._actions for f in a.option_strings} == self.COMMON | self.EXTRA[name]
+
+    def test_defaults(self):
+        assert cli._DEFAULTS == {
+            "params": [], "budget_configs": 4000, "budget_pairs": 4000, "budget_ascent": 2000,
+            "max_n": 4, "domain_radius": 5.0, "n_functionals": 8, "pairs": 400, "fd_pairs": 10_000,
+        }
+
+    @pytest.mark.parametrize("command, options", [
+        ("estimate", {"oracle": "cubic1d", "params": [1.0], "seed": 3, "max_n": 3}),
+        ("falsify", {"oracle": "separable_cubic", "params": [3.0, 1.0], "seed": 3,
+                     "claimed_L": 2.5, "domain_radius": 2.0}),
+        ("verify", {"oracle": "poly_map_2d", "seed": 3, "L": 2.0, "n_functionals": 3}),
+        ("slices", {"oracle": "poly_map_2d", "seed": 3, "L": 2.0, "pairs": 20}),
+    ])
+    def test_flags_equal_config_file(self, command, options, tmp_path):
+        # FAST sets pairs 80; slices overrides it with 20 on both sides
+        fast = dict(zip((f[2:].replace("-", "_") for f in FAST[::2]), map(int, FAST[1::2])))
+        options = {**fast, **options, "csv": str(tmp_path / "p.csv")}
+        argv = [command]
+        for key, value in options.items():
+            argv += [f"--{key.replace('_', '-')}", *map(str, value if isinstance(value, list) else [value])]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(options))
+        by_flags, by_file = tmp_path / "a.json", tmp_path / "b.json"
+        code = run(argv + ["--out", str(by_flags)])
+        assert run([command, "--config", str(cfg_path), "--out", str(by_file)]) == code
+        a, b = load(by_flags), load(by_file)
+        for rep in (a, b):
+            rep.pop("wall_time_s")
+            rep["config"].pop("out")
+        assert a == b
+        assert a["config"] == {"command": command, "claimed_L": None, "L": None, **cli._DEFAULTS, **options}
 
 
 class TestDeterminism:

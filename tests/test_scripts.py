@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from hessfree.estimate import ProbeLog, SearchBudget, falsify
 from hessfree.oracles import builtin
 
@@ -31,6 +33,18 @@ class TestFalsifySweep:
             assert falsify(o, float(claimed), budget, log=log) is None
             assert refuted == "False"
             assert int(probes) == log.count == 4 * 53 + 4 + 2
+
+
+class TestBadBudget:
+    @pytest.mark.parametrize("argv", [
+        ["falsify_sweep.py", "--oracle", "cubic1d", "--params", "1", "--budget", "2"],
+        ["estimate_zoo.py", "--budget", "2"],
+    ])
+    def test_exit_2_with_message(self, argv, monkeypatch, capsys):
+        # --budget 2 splits into 0 pairs, 0 configs and 0 ascent steps
+        monkeypatch.setattr(sys, "argv", argv)
+        assert _load(argv[0][:-3]).main() == 2
+        assert capsys.readouterr() == ("", "error: need random_configs > 0 or two_point_pairs > 0\n")
 
 
 class TestReportDiff:

@@ -8,7 +8,6 @@ from hessfree.vecspace import (
     SimplexWeights,
     as_point,
     convex_combination,
-    inner,
     norm2,
     pair_spread,
     simplex_rows,
@@ -46,19 +45,6 @@ def configurations(draw, max_n=6, max_d=4):
 
 
 class TestBasics:
-    def test_inner_orthogonal(self):
-        assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_inner_hand_value(self):
-        assert inner(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_inner_zero_vector(self):
-        assert inner(np.array([0.0, 0.0]), np.array([5.0, 7.0])) == 0.0
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner(np.array([1.0]), np.array([1.0, 2.0]))
-
     def test_norm_345(self):
         assert norm2(np.array([3.0, 4.0])) == 5.0
 

@@ -6,7 +6,9 @@ every report field that differs.
         [--oracles sc2 sc8 ...] [--work DIR] [-- extra hessfree flags]
 
 For every zoo oracle and seed, `estimate`, `falsify` (at L/2), `verify`
-and `slices` (at L) run with `--out` and `--csv`, each as its own
+(at L and at L/2) and `slices` (at L) run with `--out` and `--csv`: the
+convexity-split, cocoercivity and smoothness witnesses only appear in
+`verify` below the constant.  Each run is its own
 `python -m hessfree.cli` subprocess with PYTHONPATH set to the tree.
 Reports are compared field by field, ignoring `wall_time_s` and the
 output paths; CSV files, exit codes and stderr are compared whole.  The
@@ -24,7 +26,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = ("estimate", "falsify", "verify", "slices")
+# run name -> (command, the fraction of L it is given)
+RUNS = {
+    "estimate": ("estimate", None),
+    "falsify": ("falsify", 0.5),
+    "verify": ("verify", 1.0),
+    "verify_half": ("verify", 0.5),
+    "slices": ("slices", 1.0),
+}
 # name -> (oracle, params, L): L is known_L where it has a closed form
 ZOO = {
     "cubic1d": ("cubic1d", [1.0], 1.0),
@@ -41,30 +50,29 @@ ZOO = {
 IGNORED = {("wall_time_s",), ("config", "out"), ("config", "csv")}
 
 
-def _argv(command: str, case: str, seed: int, stem: Path, extra: list[str]) -> list[str]:
+def _argv(run: str, case: str, seed: int, stem: Path, extra: list[str]) -> list[str]:
+    command, fraction = RUNS[run]
     oracle, params, level = ZOO[case]
     argv = [command, "--oracle", oracle, "--seed", str(seed),
             "--out", f"{stem}.json", "--csv", f"{stem}.csv"]
     if params:
         argv += ["--params", *map(repr, params)]
-    if command == "falsify":
-        argv += ["--claimed-L", repr(level / 2)]
-    elif command in ("verify", "slices"):
-        argv += ["--L", repr(level)]
+    if fraction is not None:
+        argv += ["--claimed-L" if command == "falsify" else "--L", repr(level * fraction)]
     return argv + extra
 
 
 def run_tree(src: Path, out: Path, cases: list[str], seeds: list[int], extra: list[str]) -> None:
-    """Every (case, seed, command) run on one tree; reports and CSVs go to
+    """Every (case, seed, run) on one tree; reports and CSVs go to
     out, exit codes and stderr to out/runs.json."""
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     runs = {}
     for case in cases:
         for seed in seeds:
-            for command in COMMANDS:
-                key = f"{case}-{seed}-{command}"
-                argv = _argv(command, case, seed, out / key, extra)
+            for run in RUNS:
+                key = f"{case}-{seed}-{run}"
+                argv = _argv(run, case, seed, out / key, extra)
                 proc = subprocess.run([sys.executable, "-m", "hessfree.cli", *argv],
                                       env=env, capture_output=True, text=True)
                 runs[key] = {"exit": proc.returncode, "stderr": proc.stderr}
@@ -127,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         diffs = compare(work / "old", work / "new")
     for line in diffs:
         print(line)
-    runs = len(args.oracles) * len(args.seeds) * len(COMMANDS)
+    runs = len(args.oracles) * len(args.seeds) * len(RUNS)
     print(f"{runs} runs per tree, {len(diffs)} differences")
     return 1 if diffs else 0
 

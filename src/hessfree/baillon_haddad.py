@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import ASCENT_LEVELS, ASCENT_SHRINK
+from .estimate import coordinate_search
 from .oracles import DomainSampler
-from .vecspace import Matrix, Vector, norm2, row_dots
+from .vecspace import Matrix, Vector, row_dots
 
 COCOERCIVITY_TOL_COEFF = 1e-10
 CONVEXITY_TOL_COEFF = 1e-10
@@ -79,6 +79,11 @@ def _residuals(dg: Matrix, dxy: Matrix, beta: float) -> Vector:
     return row_dots(dg, dxy) - row_dots(dg, dg) / beta
 
 
+def _max_norm(a: Matrix) -> float:
+    """The largest row norm of a (B, k) stack, each as norm2 gives it."""
+    return float(np.sqrt(row_dots(a, a).max()))
+
+
 def cocoercivity_residual(G, beta: float, x: Vector, y: Vector):
     """r = <G(x) - G(y), x - y> - (1/beta) ||G(x) - G(y)||^2.
 
@@ -110,7 +115,9 @@ def check_cocoercive(
     assembled from finite differences (the slice pipeline) the residual
     noise floor is set by the point magnitudes even where G itself is
     numerically zero.  Genuine violations at the detection level grow
-    with scale^2 as well, so this cannot mask them.
+    with scale^2 as well, so this cannot mask them.  Both phases reduce
+    through _residuals, so min_residual is cocoercivity_residual at
+    witness_pair bit for bit when G computes each row on its own.
     """
     if pairs < 1:
         raise ValueError("budget must be >= 1")
@@ -118,52 +125,29 @@ def check_cocoercive(
         raise ValueError("beta must be > 0")
     xs = sampler.gaussian(rng, pairs)
     ys = sampler.gaussian(rng, pairs)
-    gx = np.asarray(G(xs), dtype=np.float64)
-    gy = np.asarray(G(ys), dtype=np.float64)
-    if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
-        raise ValueError("non-finite operator output")
-    dg = gx - gy
-    res = np.einsum("ij,ij->i", dg, xs - ys) - np.einsum("ij,ij->i", dg, dg) / beta
+    dg, dxy, vals, _ = _pair_differences(G, xs, ys)
+    res = _residuals(dg, dxy, beta)
     k = int(np.argmin(res))
     worst = float(res[k])
-    wx, wy = xs[k].copy(), ys[k].copy()
-    gscale = float(
-        max(np.sqrt(np.einsum("ij,ij->i", gx, gx).max()),
-            np.sqrt(np.einsum("ij,ij->i", gy, gy).max()))
-    )
-    pscale = float(
-        max(np.sqrt(np.einsum("ij,ij->i", xs, xs).max()),
-            np.sqrt(np.einsum("ij,ij->i", ys, ys).max()))
-    )
+    gscale = _max_norm(vals)
+    pscale = max(_max_norm(xs), _max_norm(ys))
     tested = pairs
 
-    # hill-climb downward on the residual, one coordinate of one endpoint
-    # at a time, mirroring the ratio-ascent scheme
-    base = 0.5 * (1.0 + sampler.radius)
-    level = 0
-    used = 0
-    while used < ascent_steps and level < ASCENT_LEVELS:
-        step = base * ASCENT_SHRINK**level
-        accepted = False
-        for which in (0, 1):
-            for k in range(sampler.dim):
-                for s in (1.0, -1.0):
-                    if used >= ascent_steps:
-                        break
-                    tx, ty = wx.copy(), wy.copy()
-                    (tx if which == 0 else ty)[k] += s * step
-                    # one G call gives the residual and the scale
-                    dg, dxy, vals, _ = _pair_differences(G, tx, ty)
-                    r = float(_residuals(dg, dxy, beta)[0])
-                    used += 1
-                    tested += 1
-                    gscale = max(gscale, float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max())))
-                    pscale = max(pscale, norm2(tx), norm2(ty))
-                    if r < worst:
-                        worst, wx, wy = r, tx, ty
-                        accepted = True
-        if not accepted:
-            level += 1
+    # descend on the residual from the worst pair, one coordinate of one
+    # endpoint at a time; one G call gives a trial's residual and scale
+    def accept(trial: Matrix) -> bool:
+        nonlocal worst, gscale, pscale, tested
+        dg, dxy, vals, _ = _pair_differences(G, trial[0], trial[1])
+        r = float(_residuals(dg, dxy, beta)[0])
+        tested += 1
+        gscale = max(gscale, _max_norm(vals))
+        pscale = max(pscale, _max_norm(trial))
+        if r >= worst:
+            return False
+        worst = r
+        return True
+
+    wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, accept)
 
     tol = COCOERCIVITY_TOL_COEFF * (1.0 + gscale + pscale) ** 2
     return CocoercivityReport(
@@ -220,35 +204,26 @@ def convexity_split_check(
         raise ValueError("L must be > 0")
     xs = sampler.gaussian(rng, pairs)
     ys = sampler.gaussian(rng, pairs)
-    mids = 0.5 * (xs + ys)
-    stacked = np.concatenate([mids, xs, ys], axis=0)
+    stacked = np.concatenate([0.5 * (xs + ys), xs, ys], axis=0)
     g_base = 0.5 * L * np.einsum("ij,ij->i", stacked, stacked)
     phi_vals = np.asarray(phi(stacked), dtype=np.float64)
     if not np.isfinite(phi_vals).all():
         raise ValueError("non-finite value in convexity probe")
-    g_plus = g_base + phi_vals
-    g_minus = g_base - phi_vals
-    # v = g(mid) - (g(x) + g(y)) / 2 per pair, for both split functions
-    vp = g_plus[:pairs] - 0.5 * (g_plus[pairs : 2 * pairs] + g_plus[2 * pairs :])
-    vm = g_minus[:pairs] - 0.5 * (g_minus[pairs : 2 * pairs] + g_minus[2 * pairs :])
-    kp = int(np.argmax(vp))
-    km = int(np.argmax(vm))
-    worst_plus = float(vp[kp])
-    worst_minus = float(vm[km])
-    wit_plus = (xs[kp].copy(), ys[kp].copy())
-    wit_minus = (xs[km].copy(), ys[km].copy())
-    scale = float(max(np.abs(g_plus).max(), np.abs(g_minus).max()))
-    tol = CONVEXITY_TOL_COEFF * (1.0 + scale)
-    witnesses = []
-    if worst_plus > tol:
-        witnesses.append(ConvexityWitness(wit_plus[0], wit_plus[1], worst_plus, "plus"))
-    if worst_minus > tol:
-        witnesses.append(ConvexityWitness(wit_minus[0], wit_minus[1], worst_minus, "minus"))
+    splits = {"plus": g_base + phi_vals, "minus": g_base - phi_vals}
+    tol = CONVEXITY_TOL_COEFF * (1.0 + float(max(np.abs(g).max() for g in splits.values())))
+    worst, witnesses = {}, []
+    for which, g in splits.items():
+        # v = g(mid) - (g(x) + g(y)) / 2 per pair
+        v = g[:pairs] - 0.5 * (g[pairs : 2 * pairs] + g[2 * pairs :])
+        k = int(np.argmax(v))
+        worst[which] = float(v[k])
+        if worst[which] > tol:
+            witnesses.append(ConvexityWitness(xs[k].copy(), ys[k].copy(), worst[which], which))
     return ConvexitySplitReport(
         l=L,
         passed=not witnesses,
-        worst_plus=worst_plus,
-        worst_minus=worst_minus,
+        worst_plus=worst["plus"],
+        worst_minus=worst["minus"],
         witnesses=tuple(witnesses),
         pairs_tested=pairs,
         tol=tol,

@@ -112,6 +112,8 @@ class ConfigError(ValueError):
 
 
 def _search_budget(cfg) -> SearchBudget:
+    if cfg.budget_configs == 0 and cfg.budget_pairs == 0:
+        raise ConfigError("budget_configs or budget_pairs must be > 0")
     return SearchBudget(**{opt.budget: getattr(cfg, key) for key, opt in _OPTIONS.items() if opt.budget})
 
 

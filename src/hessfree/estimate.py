@@ -21,6 +21,7 @@ Every witness is therefore a jensen_probe result and replays bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -53,8 +54,7 @@ VIOLATION_ATOL_COEFF = 1e-12
 # larger than the probe-level spread floor.
 INFORMATIVE_SPREAD_COEFF = 1e-4
 
-# the coordinate-search schedule: the step shrinks by ASCENT_SHRINK after
-# every sweep without an accepted move, through ASCENT_LEVELS levels
+# the step schedule of coordinate_search
 ASCENT_SHRINK = 0.7
 ASCENT_LEVELS = 8
 
@@ -317,6 +317,35 @@ def _config_results(
         yield jensen_probe(F, Configuration(*draws[int(np.argmax(_candidate_ratios(rows)))]))
 
 
+def coordinate_search(
+    start: Matrix, steps: int, radius: float, accept: Callable[[Matrix], bool | None]
+) -> Matrix:
+    """The search _ascend and check_cocoercive run from start (n, d): each
+    trial is the current array with one coordinate of one row moved by
+    +-step, in row, coordinate, sign order, and accept(trial) returns True
+    (the trial becomes current), False, or None (the search ends).  The
+    step is 0.5 (1 + radius) ASCENT_SHRINK**level, the level rising after
+    each sweep without an accepted trial, through ASCENT_LEVELS levels.
+    At most steps trials are made; the current array is returned."""
+    current = np.array(start, dtype=np.float64)
+    used = level = 0
+    while used < steps and level < ASCENT_LEVELS:
+        step = 0.5 * (1.0 + radius) * ASCENT_SHRINK**level
+        accepted = False
+        moves = itertools.product(*map(range, current.shape), (1.0, -1.0))
+        for i, k, s in itertools.islice(moves, steps - used):
+            trial = current.copy()
+            trial[i, k] += s * step
+            used += 1
+            verdict = accept(trial)
+            if verdict is None:
+                return current
+            if verdict:
+                current, accepted = trial, True
+        level += not accepted
+    return current
+
+
 def _ascend(
     F: VectorOracle,
     start: ProbeResult,
@@ -325,44 +354,27 @@ def _ascend(
     log: ProbeLog,
     stop: Callable[[ProbeResult], bool] | None = None,
 ) -> ProbeResult:
-    """Coordinate-perturbation hill climb on the ratio.
+    """coordinate_search on the ratio: the points move, the weights stay
+    fixed, and a trial is accepted only if its candidate ratio strictly
+    increases.  A trial satisfying stop ends the search and is returned;
+    otherwise the best probe is."""
+    best, best_c = start, _candidate_ratio(start)
+    w = start.config.weights
 
-    One point coordinate moves at a time (weights stay fixed); a move is
-    accepted only if the ratio strictly increases.  The step shrinks
-    geometrically by 0.7 after every sweep without an accepted move,
-    through 8 levels.
-    """
-    best = start
-    if steps <= 0:
-        return best
-    best_c = _candidate_ratio(best)
-    pts = np.array(best.config.points)
-    w = best.config.weights
-    base = 0.5 * (1.0 + radius)
-    level = 0
-    used = 0
-    n, d = pts.shape
-    while used < steps and level < ASCENT_LEVELS:
-        step = base * ASCENT_SHRINK**level
-        accepted = False
-        for i in range(n):
-            for k in range(d):
-                for s in (1.0, -1.0):
-                    if used >= steps:
-                        return best
-                    trial = pts.copy()
-                    trial[i, k] += s * step
-                    r = jensen_probe(F, Configuration(trial, w))
-                    used += 1
-                    log.add("ascent", r)
-                    if stop is not None and stop(r):
-                        return r
-                    c = _candidate_ratio(r)
-                    if c > best_c:
-                        best, best_c, pts = r, c, trial
-                        accepted = True
-        if not accepted:
-            level += 1
+    def accept(trial: Matrix) -> bool | None:
+        nonlocal best, best_c
+        r = jensen_probe(F, Configuration(trial, w))
+        log.add("ascent", r)
+        if stop is not None and stop(r):
+            best = r
+            return None
+        c = _candidate_ratio(r)
+        if c > best_c:
+            best, best_c = r, c
+            return True
+        return False
+
+    coordinate_search(start.config.points, steps, radius, accept)
     return best
 
 
@@ -389,8 +401,7 @@ def _search(
         r = _ascend(F, best, budget.ascent_steps, budget.domain_radius, log, stop=stop)
         if stop is not None and stop(r):
             return best, r
-        if _candidate_ratio(r) > best_c:
-            best = r
+        best = r  # the start itself when no trial beat it
     return best, None
 
 

@@ -323,9 +323,8 @@ def as_vector_oracle(o: ScalarOracle | VectorOracle) -> VectorOracle:
 
 
 def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
-    """Hessian-vector product via central differences of the gradient:
-    (grad(x + h v) - grad(x - h v)) / (2 h), h = sqrt(eps) (1 + ||x||) / ||v||.
-    """
+    """Hessian-vector product by one central difference of the gradient
+    along v, step h = sqrt(eps) (1 + ||x||) / ||v||."""
     x = as_point(x)
     v = as_point(v)
     if x.size != o.dim or v.size != o.dim:
@@ -333,12 +332,8 @@ def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
     nv = norm2(v)
     if nv == 0.0:
         raise ValueError("direction v must be nonzero")
-    h = FD_GRAD_STEP * (1.0 + norm2(x)) / nv
-    gp = np.asarray(o.gradient(x + h * v), dtype=np.float64)
-    gm = np.asarray(o.gradient(x - h * v), dtype=np.float64)
-    if not (np.isfinite(gp).all() and np.isfinite(gm).all()):
-        raise ValueError("non-finite gradient in finite difference")
-    return (gp - gm) / (2.0 * h)
+    x = x[None, :]
+    return central_differences(o.gradient, x, _gradient_steps(x)[:, :1] / nv, v[None, :])[0, :, 0]
 
 
 # points per oracle call of a finite difference: every FD stack, and with

@@ -60,9 +60,6 @@ class ProbeResult:
     value_scale: float
     point_scale: float
 
-    def spread_floor(self) -> float:
-        return scale_floor(SPREAD_FLOOR_COEFF, self.point_scale)
-
 
 class ProbeBatch(NamedTuple):
     """The numbers of B probes as (B,) arrays, row k those of the k-th

@@ -9,7 +9,7 @@ from hessfree.baillon_haddad import (
     convexity_split_check,
     lipschitz_from_cocoercivity,
 )
-from hessfree.oracles import DomainSampler, builtin
+from hessfree.oracles import DomainSampler, as_vector_oracle, builtin
 from hessfree.probe import midpoint_convexity_violation
 from hessfree.slices import slice_gradient_map, slice_map, unit_functional_set
 
@@ -92,8 +92,34 @@ class TestCheckCocoercive:
         rep = check_cocoercive(G, 1.0, self.sampler(), np.random.default_rng(3), 400, ascent_steps=200)
         trials = rep.pairs_tested - 400
         assert trials > 0
-        # the sampled x and y stacks, then one (2, d) call per trial pair
-        assert calls == [(400, 2), (400, 2)] + [(2, 2)] * trials
+        # the sampled x rows stacked over the y rows, then one (2, d) call
+        # per trial pair
+        assert calls == [(800, 2)] + [(2, 2)] * trials
+
+    @pytest.mark.parametrize("name, params, known_l", [
+        ("separable_cubic", [3.0, 1.0], 3.0),
+        ("separable_cubic", [3.0, 1.0, 0.5, 2.0], 3.0),
+        ("poly_map_2d", [], 2.0),
+        ("norm_cubed", [], 1.0),
+        ("rosenbrock", [], 26000.0),
+    ])
+    def test_witness_replays(self, name, params, known_l):
+        # G = (L/2) x + grad of a unit slice, as verify builds it below the
+        # constant: every failing report's residual is the one its witness
+        # pair replays to, sampled witnesses (ascent_steps=0) included
+        F = as_vector_oracle(builtin(name, params))
+        half = known_l / 2
+        failing = 0
+        for f in unit_functional_set(F.dim_out, 4, np.random.default_rng(0)):
+            grad = slice_gradient_map(F, f)
+            G = lambda p, _g=grad: half * np.asarray(p, dtype=np.float64) + _g(p)
+            for steps in (0, 200):
+                rep = check_cocoercive(G, 2 * half, DomainSampler(F.dim_in, 5.0),
+                                       np.random.default_rng(1), 400, ascent_steps=steps)
+                if not rep.passed:
+                    failing += 1
+                    assert cocoercivity_residual(G, 2 * half, *rep.witness_pair) == rep.min_residual
+        assert failing >= 4
 
     def test_ascent_sharpens_violation(self):
         # a barely-nonconvex perturbation: sampling alone may miss the

@@ -252,6 +252,10 @@ class TestBadInput:
         (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--budget-pairs", "-1"], "budget_pairs"),
         (["verify", "--oracle", "cubic1d", "--params", "1", "--L", "1", "--budget-configs", "-1"],
          "budget_configs"),
+        *((argv + ["--budget-configs", "0", "--budget-pairs", "0"], "budget_configs or budget_pairs")
+          for argv in (["estimate", "--oracle", "cubic1d", "--params", "1"],
+                       ["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "1"],
+                       ["verify", "--oracle", "cubic1d", "--params", "1", "--L", "1"])),
     ])
     def test_rejected_with_exit_2(self, argv, key, tmp_path, capsys):
         out = tmp_path / "r.json"

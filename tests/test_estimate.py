@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from hessfree.estimate import (
+    ASCENT_LEVELS,
+    ASCENT_SHRINK,
     INFORMATIVE_SPREAD_COEFF,
     STREAM_CONFIGS,
     NoInformativeProbeError,
     ProbeLog,
     SearchBudget,
+    _ascend,
     _batches,
     _candidate_ratio,
+    coordinate_search,
     cross_validate,
     estimate_L,
     falsify,
@@ -386,3 +390,133 @@ class TestWorkingSet:
         assert rows[:500] == [("config", r) for r in zip(ns, batch.gap.tolist(), batch.spread.tolist(), ratio)]
         assert rows[-1] == ("ascent", (single.config.n, single.gap, single.spread, single.ratio))
         assert all(type(v) is float for v in rows[0][1][1:3])
+
+
+def _nested_search(start, steps, radius, accept):
+    """The schedule as a nested sweep loop, the reference coordinate_search
+    must match."""
+    pts = np.array(start, dtype=np.float64)
+    base = 0.5 * (1.0 + radius)
+    level = 0
+    used = 0
+    n, d = pts.shape
+    while used < steps and level < ASCENT_LEVELS:
+        step = base * ASCENT_SHRINK**level
+        accepted = False
+        for i in range(n):
+            for k in range(d):
+                for s in (1.0, -1.0):
+                    if used >= steps:
+                        return pts
+                    trial = pts.copy()
+                    trial[i, k] += s * step
+                    used += 1
+                    verdict = accept(trial)
+                    if verdict is None:
+                        return pts
+                    if verdict:
+                        pts, accepted = trial, True
+        if not accepted:
+            level += 1
+    return pts
+
+
+def _nested_ascend(F, start, steps, radius, log, stop=None):
+    """The ratio hill climb as a nested sweep loop, the reference _ascend
+    must match."""
+    best = start
+    if steps <= 0:
+        return best
+    best_c = _candidate_ratio(best)
+    pts = np.array(best.config.points)
+    w = best.config.weights
+    base = 0.5 * (1.0 + radius)
+    level = 0
+    used = 0
+    n, d = pts.shape
+    while used < steps and level < ASCENT_LEVELS:
+        step = base * ASCENT_SHRINK**level
+        accepted = False
+        for i in range(n):
+            for k in range(d):
+                for s in (1.0, -1.0):
+                    if used >= steps:
+                        return best
+                    trial = pts.copy()
+                    trial[i, k] += s * step
+                    r = jensen_probe(F, Configuration(trial, w))
+                    used += 1
+                    log.add("ascent", r)
+                    if stop is not None and stop(r):
+                        return r
+                    c = _candidate_ratio(r)
+                    if c > best_c:
+                        best, best_c, pts = r, c, trial
+                        accepted = True
+        if not accepted:
+            level += 1
+    return best
+
+
+class TestCoordinateSearch:
+    """coordinate_search runs the schedule of the nested loop it replaced."""
+
+    @staticmethod
+    def _trials(search, shape, steps, p_accept, stop_at, seed):
+        verdicts = np.random.default_rng(seed).random(10_000) < p_accept
+        trials = []
+
+        def accept(trial):
+            trials.append(trial.copy())
+            if len(trials) == stop_at:
+                return None
+            return bool(verdicts[len(trials) - 1])
+
+        start = np.random.default_rng(seed + 1).standard_normal(shape)
+        return trials, search(start, steps, 2.0, accept)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 8)])
+    @pytest.mark.parametrize("p_accept, stop_at", [(0.0, None), (0.2, None), (0.6, None), (0.3, 5)])
+    def test_same_trials_as_nested_loop(self, shape, p_accept, stop_at):
+        for steps in (0, 7, 45, 2000):
+            for seed in range(3):
+                ref, ref_end = self._trials(_nested_search, shape, steps, p_accept, stop_at, seed)
+                got, got_end = self._trials(coordinate_search, shape, steps, p_accept, stop_at, seed)
+                assert len(got) == len(ref) <= steps
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+                assert np.array_equal(got_end, ref_end)
+                if stop_at is not None and steps >= stop_at:
+                    assert len(ref) == stop_at
+
+    def test_limit_ends_mid_sweep_and_levels_run_out(self):
+        # 7 trials stop inside the first 2 n d = 12-trial sweep of a 2x3
+        # array; rejecting everything ends after ASCENT_LEVELS sweeps
+        mid, _ = self._trials(coordinate_search, (2, 3), 7, 0.0, None, 0)
+        full, _ = self._trials(coordinate_search, (2, 3), 10_000, 0.0, None, 0)
+        assert len(mid) == 7
+        assert len(full) == ASCENT_LEVELS * 12
+
+    @pytest.mark.parametrize("case", sorted(ZOO))
+    @pytest.mark.parametrize("stop_after", [None, 37])
+    def test_ascend_matches_nested_ascend(self, case, stop_after):
+        F = as_vector_oracle(builtin(*ZOO[case]))
+        rng = stream_rng(3, STREAM_CONFIGS, 0)
+        start = jensen_probe(F, sample_configuration(rng, F.dim_in, 4, 5.0))
+        results, logs = [], []
+        for ascend in (_nested_ascend, _ascend):
+            calls = iter(range(1, 10**6))
+            stop = None if stop_after is None else (lambda r: next(calls) == stop_after)
+            log = ProbeLog(collect=True)
+            results.append(ascend(F, start, 200, 5.0, log, stop=stop))
+            logs.append(log)
+        ref, got = results
+        assert (got.gap, got.spread, got.ratio, got.value_scale, got.point_scale) == (
+            ref.gap, ref.spread, ref.ratio, ref.value_scale, ref.point_scale)
+        assert np.array_equal(got.config.points, ref.config.points)
+        assert np.array_equal(got.config.weights.weights, ref.config.weights.weights)
+        assert logs[1].rows == logs[0].rows
+        if stop_after is None:
+            assert 0 < logs[0].count <= 200
+        else:  # the stop fired mid-ascent and its probe came back
+            assert logs[0].count == stop_after
+            assert logs[0].rows[-1][1] == (ref.config.n, ref.gap, ref.spread, ref.ratio)

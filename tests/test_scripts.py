@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ class TestReportDiff:
                 "--pairs", "4", "--fd-pairs", "20", "--n-functionals", "2"]
         argv = [src, src, "--oracles", "poly_map_2d", "--seeds", "5", "--work", str(tmp_path), "--", *tiny]
         assert mod.main(argv) == 0
-        assert capsys.readouterr().out == "4 runs per tree, 0 differences\n"
+        assert capsys.readouterr().out == "5 runs per tree, 0 differences\n"
         assert mod.compare(tmp_path / "old", tmp_path / "new") == []
 
         new = tmp_path / "new"
@@ -64,10 +65,22 @@ class TestReportDiff:
         assert tampered != report.read_text()
         report.write_text(tampered)
         (new / "poly_map_2d-5-estimate.csv").write_text("probe_index\n")
+        # verify at L/2 fails every functional check, so its report holds
+        # the witnesses verify at L never shows
+        half = new / "poly_map_2d-5-verify_half.json"
+        report = json.loads(half.read_text())
+        results = report["results"]
+        assert results["L"] == 1.0
+        for check in ("convexity_split", "cocoercivity"):
+            assert results[check]["witnesses"]
+        assert results["slice_smoothness"]["witness"] is not None
+        results["cocoercivity"]["witnesses"][0]["residual"] = 0.0
+        half.write_text(json.dumps(report))
         diffs = mod.compare(tmp_path / "old", new)
-        assert len(diffs) == 2
+        assert len(diffs) == 3
         assert diffs[0] == "poly_map_2d-5-estimate.csv: contents differ"
         assert diffs[1].startswith("poly_map_2d-5-slices: results.worst_transfer_excess: -")
+        assert diffs[2].startswith("poly_map_2d-5-verify_half: results.cocoercivity.witnesses.0.residual: -")
 
 
 class TestRssByDim:

@@ -108,7 +108,11 @@ def check_cocoercive(
     ascent_steps: int = 200,
 ) -> CocoercivityReport:
     """Minimum residual over sampled pairs, then coordinate descent from
-    the worst pair toward violations.
+    the worst pair toward violations, a trial accepted when its residual
+    is strictly lower.  The descent judges each stack of trial pairs of
+    coordinate_search with one G call; pairs_tested and both scales count
+    only the trials up to the stack's first accepted one, as a descent
+    making one trial at a time would.
 
     Passes iff the minimum stays above -1e-10 (1 + scale)^2, where the
     scale combines the largest ||G|| and point norms seen: for operators
@@ -134,20 +138,23 @@ def check_cocoercive(
     tested = pairs
 
     # descend on the residual from the worst pair, one coordinate of one
-    # endpoint at a time; one G call gives a trial's residual and scale
-    def accept(trial: Matrix) -> bool:
+    # endpoint at a time; one G call gives a stack of trials' residuals,
+    # and only the trials up to the first accepted one count
+    def judge(stack: np.ndarray) -> tuple[int, bool]:
         nonlocal worst, gscale, pscale, tested
-        dg, dxy, vals, _ = _pair_differences(G, trial[0], trial[1])
-        r = float(_residuals(dg, dxy, beta)[0])
-        tested += 1
-        gscale = max(gscale, _max_norm(vals))
-        pscale = max(pscale, _max_norm(trial))
-        if r >= worst:
-            return False
-        worst = r
-        return True
+        dg, dxy, vals, _ = _pair_differences(G, stack[:, 0], stack[:, 1])
+        r = _residuals(dg, dxy, beta)
+        better = ~(r >= worst)
+        b = len(stack)
+        j = int(np.argmax(better)) if better.any() else b - 1
+        tested += j + 1
+        gscale = max(gscale, _max_norm(vals[: j + 1]), _max_norm(vals[b : b + j + 1]))
+        pscale = max(pscale, _max_norm(stack[: j + 1].reshape(-1, stack.shape[2])))
+        if better[j]:
+            worst = float(r[j])
+        return j, bool(better[j])
 
-    wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, accept)
+    wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, judge)
 
     tol = COCOERCIVITY_TOL_COEFF * (1.0 + gscale + pscale) ** 2
     return CocoercivityReport(

@@ -13,15 +13,16 @@ max-ratio reduction breaks ties by stream position, so certificates are
 bit-identical across reruns and batch sizes.
 
 A batch of random configurations is probed as arrays by
-jensen_probe_batch, one call per point count n.  Only the rows the search
-acts on become ProbeResults, each re-evaluated through jensen_probe: the
-first violating row when falsifying, then the batch's best candidate.
-Every witness is therefore a jensen_probe result and replays bit for bit.
+jensen_probe_batch, one call per point count n, and so is each stack of
+ascent trials that coordinate_search builds from the rest of a sweep.
+Only the rows the search acts on become ProbeResults, each re-evaluated
+through jensen_probe: the first violating row when falsifying, then the
+batch's best candidate, or the ascent's stop hit or final best.  Every
+witness is therefore a jensen_probe result and replays bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -30,7 +31,9 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .oracles import DomainSampler, ScalarOracle, VectorOracle, as_vector_oracle, lip_from_hessians, lip_from_jacobians
-from .probe import ProbeBatch, ProbeResult, best_t_probe, jensen_probe, jensen_probe_batch, scale_floor
+from .probe import (
+    _GOLDEN_ITERS, _T_GRID, ProbeBatch, ProbeResult, best_t_probe, jensen_probe, jensen_probe_batch, scale_floor,
+)
 # SimplexWeights is not called here (a configuration batch normalizes its
 # weights with simplex_rows); the name stays for perfbench's span tracer
 from .vecspace import Configuration, Matrix, SimplexWeights, Vector, simplex_rows  # noqa: F401
@@ -54,9 +57,12 @@ VIOLATION_ATOL_COEFF = 1e-12
 # larger than the probe-level spread floor.
 INFORMATIVE_SPREAD_COEFF = 1e-4
 
-# the step schedule of coordinate_search
+# the step schedule of coordinate_search, and the most entries in one of
+# its trial stacks: the 64-trial sweep of a 4-point ascent at d = 8 fits
+# one stack, while at d = 128 a stack holds 32 of its 1024 trials
 ASCENT_SHRINK = 0.7
 ASCENT_LEVELS = 8
+_STACK_ELEMENTS = 1 << 14
 
 
 class ProbeRow(NamedTuple):
@@ -253,7 +259,7 @@ def _batches(total: int) -> Iterator[tuple[int, int]]:
 
 
 # probes evaluated inside one best_t_probe call: 31 grid + 2 + 20 golden
-_T_PROBES_PER_PAIR = 53
+_T_PROBES_PER_PAIR = (_T_GRID - 1) + 2 + _GOLDEN_ITERS
 
 
 def _two_point_results(
@@ -318,30 +324,43 @@ def _config_results(
 
 
 def coordinate_search(
-    start: Matrix, steps: int, radius: float, accept: Callable[[Matrix], bool | None]
+    start: Matrix, steps: int, radius: float, judge: Callable[[np.ndarray], tuple[int, bool | None]]
 ) -> Matrix:
     """The search _ascend and check_cocoercive run from start (n, d): each
     trial is the current array with one coordinate of one row moved by
-    +-step, in row, coordinate, sign order, and accept(trial) returns True
-    (the trial becomes current), False, or None (the search ends).  The
-    step is 0.5 (1 + radius) ASCENT_SHRINK**level, the level rising after
-    each sweep without an accepted trial, through ASCENT_LEVELS levels.
-    At most steps trials are made; the current array is returned."""
+    +-step, in row, coordinate, sign order.  The step is
+    0.5 (1 + radius) ASCENT_SHRINK**level, the level rising after each
+    sweep without an accepted trial, through ASCENT_LEVELS levels.  At
+    most steps trials are made; the current array is returned.
+
+    The trials left in the sweep are built from the current array as one
+    (k, n, d) stack of at most _STACK_ELEMENTS entries, and judge(stack)
+    returns (j, verdict) for its first decisive row j: verdict True (the
+    trial becomes current) or None (the search ends), or (k - 1, False)
+    when no row is decisive.  Rows after j count as not made: the search
+    goes on from trial j + 1, so the trials made are those of a judge
+    shown one trial at a time."""
     current = np.array(start, dtype=np.float64)
+    n, d = current.shape
+    rows, cols = np.divmod(np.arange(n * d).repeat(2), d)
+    signs = np.tile([1.0, -1.0], n * d)
+    cap = max(1, _STACK_ELEMENTS // current.size)
     used = level = 0
     while used < steps and level < ASCENT_LEVELS:
         step = 0.5 * (1.0 + radius) * ASCENT_SHRINK**level
         accepted = False
-        moves = itertools.product(*map(range, current.shape), (1.0, -1.0))
-        for i, k, s in itertools.islice(moves, steps - used):
-            trial = current.copy()
-            trial[i, k] += s * step
-            used += 1
-            verdict = accept(trial)
+        pos, end = 0, min(len(signs), steps - used)
+        while pos < end:
+            m = np.arange(pos, min(pos + cap, end))
+            stack = np.repeat(current[None], len(m), axis=0)
+            stack[np.arange(len(m)), rows[m], cols[m]] += signs[m] * step
+            j, verdict = judge(stack)
+            pos += j + 1
             if verdict is None:
                 return current
             if verdict:
-                current, accepted = trial, True
+                current, accepted = stack[j].copy(), True
+        used += pos
         level += not accepted
     return current
 
@@ -352,30 +371,41 @@ def _ascend(
     steps: int,
     radius: float,
     log: ProbeLog,
-    stop: Callable[[ProbeResult], bool] | None = None,
+    stop: Callable[[ProbeResult | ProbeBatch], object] | None = None,
 ) -> ProbeResult:
     """coordinate_search on the ratio: the points move, the weights stay
     fixed, and a trial is accepted only if its candidate ratio strictly
     increases.  A trial satisfying stop ends the search and is returned;
-    otherwise the best probe is."""
-    best, best_c = start, _candidate_ratio(start)
+    otherwise the best probe is.
+
+    Each stack of trials is probed by one jensen_probe_batch call and
+    logged up to its decisive row; only the returned probe, a stop hit or
+    the final best, is re-evaluated through jensen_probe."""
+    start_c = best_c = _candidate_ratio(start)
     w = start.config.weights
+    hit = None
 
-    def accept(trial: Matrix) -> bool | None:
-        nonlocal best, best_c
-        r = jensen_probe(F, Configuration(trial, w))
-        log.add("ascent", r)
-        if stop is not None and stop(r):
-            best = r
-            return None
-        c = _candidate_ratio(r)
-        if c > best_c:
-            best, best_c = r, c
-            return True
-        return False
+    def judge(stack: np.ndarray) -> tuple[int, bool | None]:
+        nonlocal best_c, hit
+        rows = jensen_probe_batch(F, stack, np.broadcast_to(w.weights, stack.shape[:2]))
+        c = _candidate_ratios(rows)
+        stops = np.asarray(stop(rows), dtype=bool) if stop is not None else np.zeros(len(c), bool)
+        decisive = stops | (c > best_c)
+        j = int(np.argmax(decisive)) if decisive.any() else len(c) - 1
+        log.add_batch("ascent", [start.config.n] * len(c), rows, 0, j + 1)
+        if stops[j]:
+            hit = jensen_probe(F, Configuration(stack[j], w))
+            return j, None
+        if decisive[j]:
+            best_c = c[j]
+            return j, True
+        return j, False
 
-    coordinate_search(start.config.points, steps, radius, accept)
-    return best
+    end = coordinate_search(start.config.points, steps, radius, judge)
+    if hit is not None:
+        return hit
+    # the start itself when no trial beat it
+    return start if best_c == start_c else jensen_probe(F, Configuration(end, w))
 
 
 def _search(

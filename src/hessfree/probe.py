@@ -31,6 +31,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _T_GRID = 32
 _GOLDEN_ITERS = 20
 _GRID_CHUNK = 64  # pairs per grid scan: bounds the (pairs, 31, d) working set
+_DIFF_ELEMENTS = 1 << 16  # entries of jensen_probe_batch's difference stack per chunk
 
 
 def scale_floor(coeff: float, point_scale):
@@ -96,7 +97,9 @@ def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
 def jensen_probe_batch(F: VectorOracle, points: np.ndarray, weights: Matrix) -> ProbeBatch:
     """jensen_probe on B configurations of n points each, points (B, n, d)
     and simplex weights (B, n), in one F.eval on the B n points and one on
-    the B centres.
+    the B centres of each chunk of rows.  A chunk's (rows, n, n, d)
+    difference stack holds at most _DIFF_ELEMENTS entries, so the working
+    set does not grow with d; a (512, 4, 4, 8) stack is one chunk.
 
     Every reduction is the one-configuration reduction run on each row:
     the vector products by stacked matmul, the squared distances and
@@ -109,6 +112,15 @@ def jensen_probe_batch(F: VectorOracle, points: np.ndarray, weights: Matrix) -> 
         raise ValueError(f"need points (B, n, d) and weights (B, n), got {pts.shape} and {w.shape}")
     if pts.shape[2] != F.dim_in:
         raise ValueError(f"configuration dim {pts.shape[2]} != oracle dim_in {F.dim_in}")
+    _, n, d = pts.shape
+    rows = max(1, _DIFF_ELEMENTS // (n * n * d))
+    # an empty batch still makes one (empty) chunk, which gives the shapes
+    parts = [_probe_rows(F, pts[i : i + rows], w[i : i + rows]) for i in range(0, max(len(pts), 1), rows)]
+    return parts[0] if len(parts) == 1 else ProbeBatch(*map(np.concatenate, zip(*parts)))
+
+
+def _probe_rows(F: VectorOracle, pts: np.ndarray, w: Matrix) -> ProbeBatch:
+    """One chunk of jensen_probe_batch."""
     wr = w[:, None, :]
     values = np.asarray(F.eval(pts), dtype=np.float64)
     # each centre as a (1, d) stack entry, so a matmul oracle sees the

@@ -1,14 +1,25 @@
+import dataclasses
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessfree import baillon_haddad
 from hessfree.baillon_haddad import (
+    COCOERCIVITY_TOL_COEFF,
+    CocoercivityReport,
+    _max_norm,
+    _pair_differences,
+    _residuals,
     check_cocoercive,
     cocoercivity_residual,
     convexity_split_check,
     lipschitz_from_cocoercivity,
 )
+from hessfree.estimate import ASCENT_LEVELS, ASCENT_SHRINK, coordinate_search
 from hessfree.oracles import DomainSampler, as_vector_oracle, builtin
 from hessfree.probe import midpoint_convexity_violation
 from hessfree.slices import slice_gradient_map, slice_map, unit_functional_set
@@ -54,6 +65,50 @@ class TestCocoercivityResidual:
         assert cocoercivity_residual(G, beta, x, y) == cocoercivity_residual(G, beta, y, x)
 
 
+def _one_trial_check_cocoercive(G, beta, sampler, rng, pairs, ascent_steps=200):
+    """check_cocoercive with a descent judging one trial pair per G call,
+    the reference the stacked descent must match."""
+    xs = sampler.gaussian(rng, pairs)
+    ys = sampler.gaussian(rng, pairs)
+    dg, dxy, vals, _ = _pair_differences(G, xs, ys)
+    res = _residuals(dg, dxy, beta)
+    k = int(np.argmin(res))
+    worst = float(res[k])
+    gscale = _max_norm(vals)
+    pscale = max(_max_norm(xs), _max_norm(ys))
+    tested = pairs
+    current = np.stack([xs[k], ys[k]])
+    used = level = 0
+    while used < ascent_steps and level < ASCENT_LEVELS:
+        step = 0.5 * (1.0 + sampler.radius) * ASCENT_SHRINK**level
+        accepted = False
+        for i, c, s in itertools.islice(itertools.product(range(2), range(current.shape[1]), (1.0, -1.0)),
+                                        ascent_steps - used):
+            trial = current.copy()
+            trial[i, c] += s * step
+            used += 1
+            dg, dxy, vals, _ = _pair_differences(G, trial[0], trial[1])
+            r = float(_residuals(dg, dxy, beta)[0])
+            tested += 1
+            gscale = max(gscale, _max_norm(vals))
+            pscale = max(pscale, _max_norm(trial))
+            if not r >= worst:
+                worst, current, accepted = r, trial, True
+        level += not accepted
+    tol = COCOERCIVITY_TOL_COEFF * (1.0 + gscale + pscale) ** 2
+    return CocoercivityReport(beta, worst, (current[0], current[1]), tested, tol,
+                              bool(worst >= -tol), gscale)
+
+
+ZOO_SLICES = [
+    ("separable_cubic", [3.0, 1.0], 3.0),
+    ("separable_cubic", [3.0, 1.0, 0.5, 2.0], 3.0),
+    ("poly_map_2d", [], 2.0),
+    ("norm_cubed", [], 1.0),
+    ("rosenbrock", [], 26000.0),
+]
+
+
 class TestCheckCocoercive:
     def sampler(self, dim=2):
         return DomainSampler(dim, 5.0)
@@ -82,27 +137,25 @@ class TestCheckCocoercive:
         assert rep.passed
         assert abs(rep.min_residual) <= rep.tol
 
-    def test_one_operator_call_per_ascent_trial(self):
-        calls = []
+    def test_one_operator_call_per_ascent_trial(self, monkeypatch):
+        # the sampled x rows stacked over the y rows, then one call per
+        # stack of trial pairs the descent judges, its x rows over its y rows
+        calls, stacks = [], []
 
         def G(p):
             calls.append(np.shape(p))
             return np.asarray(p) * np.array([1.05, 0.2])
 
-        rep = check_cocoercive(G, 1.0, self.sampler(), np.random.default_rng(3), 400, ascent_steps=200)
-        trials = rep.pairs_tested - 400
-        assert trials > 0
-        # the sampled x rows stacked over the y rows, then one (2, d) call
-        # per trial pair
-        assert calls == [(800, 2)] + [(2, 2)] * trials
+        def search(start, steps, radius, judge):
+            return coordinate_search(start, steps, radius, lambda s: stacks.append(len(s)) or judge(s))
 
-    @pytest.mark.parametrize("name, params, known_l", [
-        ("separable_cubic", [3.0, 1.0], 3.0),
-        ("separable_cubic", [3.0, 1.0, 0.5, 2.0], 3.0),
-        ("poly_map_2d", [], 2.0),
-        ("norm_cubed", [], 1.0),
-        ("rosenbrock", [], 26000.0),
-    ])
+        monkeypatch.setattr(baillon_haddad, "coordinate_search", search)
+        rep = check_cocoercive(G, 1.0, self.sampler(), np.random.default_rng(3), 400, ascent_steps=200)
+        assert rep.pairs_tested - 400 > len(stacks) > 0
+        assert calls == [(800, 2)] + [(2 * k, 2) for k in stacks]
+        assert max(stacks) == 8  # one sweep of a (2, 2) pair
+
+    @pytest.mark.parametrize("name, params, known_l", ZOO_SLICES)
     def test_witness_replays(self, name, params, known_l):
         # G = (L/2) x + grad of a unit slice, as verify builds it below the
         # constant: every failing report's residual is the one its witness
@@ -120,6 +173,43 @@ class TestCheckCocoercive:
                     failing += 1
                     assert cocoercivity_residual(G, 2 * half, *rep.witness_pair) == rep.min_residual
         assert failing >= 4
+
+    @pytest.mark.parametrize("name, params, known_l", ZOO_SLICES)
+    def test_stacked_descent_matches_one_trial_descent(self, name, params, known_l):
+        # G = l x + grad of a unit slice, as verify builds it at L = l, at
+        # the constant and below it: every report field is the one-trial
+        # descent's, bit for bit
+        F = as_vector_oracle(builtin(name, params))
+        failing = 0
+        for l in (known_l, known_l / 2):
+            for f in unit_functional_set(F.dim_out, 4, np.random.default_rng(0)):
+                grad = slice_gradient_map(F, f)
+                G = lambda p, _g=grad, _l=l: _l * np.asarray(p, dtype=np.float64) + _g(p)
+                for steps in (0, 200):
+                    got, ref = (check(G, 2 * l, DomainSampler(F.dim_in, 5.0), np.random.default_rng(1),
+                                      400, ascent_steps=steps)
+                                for check in (check_cocoercive, _one_trial_check_cocoercive))
+                    for field in dataclasses.fields(CocoercivityReport):
+                        a, b = getattr(got, field.name), getattr(ref, field.name)
+                        if field.name == "witness_pair":
+                            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+                        else:
+                            assert type(a) is type(b) and a == b, field.name
+                    failing += not got.passed
+        assert failing >= 4
+
+    def test_trials_after_the_accepted_one_not_counted(self):
+        # G = -x at beta = 1 has residual -2 ||x - y||^2, so the first trial
+        # x + 3 e1 is accepted.  The stack's second row x - 3 e1, the
+        # largest point and ||G|| it holds, is a trial the one-trial descent
+        # never makes: its second trial starts from x + 3 e1
+        draws = iter([np.array([[-1.0, 0.0]]), np.array([[-1.5, 0.0]])])
+        sampler = SimpleNamespace(radius=5.0, gaussian=lambda rng, n: next(draws))
+        G = lambda p: -np.asarray(p)
+        rep = check_cocoercive(G, 1.0, sampler, None, 1, ascent_steps=2)
+        assert (rep.pairs_tested, rep.operator_scale, rep.min_residual) == (3, 2.0, -24.5)
+        assert rep.tol == COCOERCIVITY_TOL_COEFF * (1.0 + 2.0 + 2.0) ** 2
+        assert np.array_equal(np.stack(rep.witness_pair), [[2.0, 0.0], [-1.5, 0.0]])
 
     def test_ascent_sharpens_violation(self):
         # a barely-nonconvex perturbation: sampling alone may miss the

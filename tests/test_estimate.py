@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hessfree import estimate
 from hessfree.estimate import (
     ASCENT_LEVELS,
     ASCENT_SHRINK,
@@ -12,6 +13,7 @@ from hessfree.estimate import (
     NoInformativeProbeError,
     ProbeLog,
     SearchBudget,
+    _T_PROBES_PER_PAIR,
     _ascend,
     _batches,
     _candidate_ratio,
@@ -312,6 +314,23 @@ def _bump_oracle(centre):
     return VectorOracle(2, 2, ev, "bump")
 
 
+class TestTwoPointCount:
+    def test_probes_per_pair_are_one_scan(self):
+        # one pair's best_t_probe: F(x) and F(y), then every t the scan
+        # evaluates, then the winner's replay through jensen_probe
+        F0 = as_vector_oracle(builtin(*ZOO["sc2"]))
+        points = []
+
+        def count(p):
+            points.append(int(np.prod(np.shape(p)[:-1])))
+            return F0.eval(p)
+
+        F = VectorOracle(F0.dim_in, F0.dim_out, count, "counting")
+        best_t_probe(F, np.array([1.0, -2.0]), np.array([0.5, 3.0]), min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+        assert points[0] == 2 and points[-2:] == [2, 1]
+        assert sum(points[1:-2]) == _T_PROBES_PER_PAIR == 53
+
+
 class TestConfigStreamOrder:
     """The batched configuration phase against sample_configuration +
     jensen_probe one configuration at a time."""
@@ -459,42 +478,88 @@ def _nested_ascend(F, start, steps, radius, log, stop=None):
 
 
 class TestCoordinateSearch:
-    """coordinate_search runs the schedule of the nested loop it replaced."""
+    """coordinate_search makes the trials of the nested loop it replaced:
+    a judge shown its stacks accounts for the rows up to the first
+    decisive one, and the search goes on from the next trial."""
 
     @staticmethod
-    def _trials(search, shape, steps, p_accept, stop_at, seed):
+    def _trials(shape, steps, p_accept, stop_at, seed, stacks=None):
+        """The trials a search makes when trial t is accepted with the
+        t-th of a seeded run of verdicts, or ends it when t == stop_at:
+        through _nested_search one trial at a time without stacks, else
+        through coordinate_search, recording each judged stack's size and
+        accounted rows in stacks."""
         verdicts = np.random.default_rng(seed).random(10_000) < p_accept
         trials = []
 
-        def accept(trial):
+        def verdict(trial):
             trials.append(trial.copy())
-            if len(trials) == stop_at:
-                return None
-            return bool(verdicts[len(trials) - 1])
+            return None if len(trials) == stop_at else bool(verdicts[len(trials) - 1])
+
+        def judge(stack):
+            for j, trial in enumerate(stack):
+                v = verdict(trial)
+                if v is None or v:
+                    break
+            stacks.append((len(stack), j + 1))
+            return j, v
 
         start = np.random.default_rng(seed + 1).standard_normal(shape)
-        return trials, search(start, steps, 2.0, accept)
+        if stacks is None:
+            return trials, _nested_search(start, steps, 2.0, verdict)
+        return trials, coordinate_search(start, steps, 2.0, judge)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 8)])
     @pytest.mark.parametrize("p_accept, stop_at", [(0.0, None), (0.2, None), (0.6, None), (0.3, 5)])
     def test_same_trials_as_nested_loop(self, shape, p_accept, stop_at):
         for steps in (0, 7, 45, 2000):
             for seed in range(3):
-                ref, ref_end = self._trials(_nested_search, shape, steps, p_accept, stop_at, seed)
-                got, got_end = self._trials(coordinate_search, shape, steps, p_accept, stop_at, seed)
+                ref, ref_end = self._trials(shape, steps, p_accept, stop_at, seed)
+                stacks = []
+                got, got_end = self._trials(shape, steps, p_accept, stop_at, seed, stacks)
                 assert len(got) == len(ref) <= steps
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref))
                 assert np.array_equal(got_end, ref_end)
+                assert sum(used for _, used in stacks) == len(got)
                 if stop_at is not None and steps >= stop_at:
                     assert len(ref) == stop_at
+                if shape != (1, 1) and stop_at is not None and steps >= 45:
+                    # the stop fired on the 5th trial, before the last row
+                    # of the stack holding it
+                    assert stacks[-1][1] < stacks[-1][0]
 
     def test_limit_ends_mid_sweep_and_levels_run_out(self):
         # 7 trials stop inside the first 2 n d = 12-trial sweep of a 2x3
-        # array; rejecting everything ends after ASCENT_LEVELS sweeps
-        mid, _ = self._trials(coordinate_search, (2, 3), 7, 0.0, None, 0)
-        full, _ = self._trials(coordinate_search, (2, 3), 10_000, 0.0, None, 0)
-        assert len(mid) == 7
+        # array, as a 7-row stack; rejecting everything ends after
+        # ASCENT_LEVELS sweeps of one stack each
+        mid_stacks, full_stacks = [], []
+        mid, _ = self._trials((2, 3), 7, 0.0, None, 0, mid_stacks)
+        full, _ = self._trials((2, 3), 10_000, 0.0, None, 0, full_stacks)
+        assert len(mid) == 7 and mid_stacks == [(7, 7)]
         assert len(full) == ASCENT_LEVELS * 12
+        assert full_stacks == [(12, 12)] * ASCENT_LEVELS
+
+    def test_steps_end_inside_a_stack(self):
+        # a sweep after an accepted trial is judged from the next trial on,
+        # so steps = 9 cuts the 2x3 sweep's second stack to the 9 - j left
+        stacks = []
+        got, _ = self._trials((2, 3), 9, 1.0, None, 0, stacks)
+        ref, _ = self._trials((2, 3), 9, 1.0, None, 0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)) and len(got) == len(ref) == 9
+        assert stacks[:2] == [(9, 1), (8, 1)]
+
+    @pytest.mark.parametrize("elements", [1, 6, 13])
+    def test_capped_stacks_same_trials(self, monkeypatch, elements):
+        # a stack holds at most _STACK_ELEMENTS entries, and at least one
+        # trial: the cap changes the stacks but not the trials
+        monkeypatch.setattr(estimate, "_STACK_ELEMENTS", elements)
+        for p_accept, stop_at in ((0.0, None), (0.3, None), (0.3, 17)):
+            ref, ref_end = self._trials((2, 3), 200, p_accept, stop_at, 4)
+            stacks = []
+            got, got_end = self._trials((2, 3), 200, p_accept, stop_at, 4, stacks)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)) and len(got) == len(ref)
+            assert np.array_equal(got_end, ref_end)
+            assert max(size for size, _ in stacks) == max(1, elements // 6)
 
     @pytest.mark.parametrize("case", sorted(ZOO))
     @pytest.mark.parametrize("stop_after", [None, 37])
@@ -502,10 +567,19 @@ class TestCoordinateSearch:
         F = as_vector_oracle(builtin(*ZOO[case]))
         rng = stream_rng(3, STREAM_CONFIGS, 0)
         start = jensen_probe(F, sample_configuration(rng, F.dim_in, 4, 5.0))
+        stop = None
+        if stop_after is not None:
+            # a stop on the values of the nested ascent's 37th trial, which
+            # _ascend judges as the 37th row of the trial stacks it probes
+            seen = []
+            _nested_ascend(F, start, 200, 5.0, ProbeLog(), stop=lambda r: seen.append(r) and False)
+            g, sp = seen[stop_after - 1].gap, seen[stop_after - 1].spread
+
+            def stop(r):
+                return (np.asarray(r.gap) == g) & (np.asarray(r.spread) == sp)
+
         results, logs = [], []
         for ascend in (_nested_ascend, _ascend):
-            calls = iter(range(1, 10**6))
-            stop = None if stop_after is None else (lambda r: next(calls) == stop_after)
             log = ProbeLog(collect=True)
             results.append(ascend(F, start, 200, 5.0, log, stop=stop))
             logs.append(log)
@@ -515,6 +589,7 @@ class TestCoordinateSearch:
         assert np.array_equal(got.config.points, ref.config.points)
         assert np.array_equal(got.config.weights.weights, ref.config.weights.weights)
         assert logs[1].rows == logs[0].rows
+        assert logs[1].count == logs[0].count
         if stop_after is None:
             assert 0 < logs[0].count <= 200
         else:  # the stop fired mid-ascent and its probe came back

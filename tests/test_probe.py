@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessfree import probe
 from hessfree.oracles import BUILTIN_NAMES, VectorOracle, as_vector_oracle, builtin
 from hessfree.probe import (
     ProbeResult,
@@ -133,6 +134,32 @@ class TestJensenProbeBatch:
             assert _row(batch, k) == (r.gap, r.spread, r.ratio, r.value_scale, r.point_scale)
             if k in coincident:
                 assert r.ratio is None
+
+    def test_chunks_bound_the_difference_stack(self, monkeypatch):
+        # rows run in chunks of _DIFF_ELEMENTS // (n n d) configurations,
+        # each one F.eval on its points and one on its centres; a config
+        # batch of 512 at n = 4, d = 8 is one chunk
+        assert 512 * 4 * 4 * 8 <= probe._DIFF_ELEMENTS
+        F0 = as_vector_oracle(builtin("separable_cubic", [3.0, 1.0, 0.5]))
+        shapes = []
+
+        def count(p):
+            shapes.append(np.shape(p))
+            return F0.eval(p)
+
+        F = VectorOracle(3, 3, count, "counting")
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((10, 4, 3)) * 3.0
+        pts[7] = pts[7, 0]  # spread 0: ratio NaN
+        w = np.stack([SimplexWeights(e / e.sum()).weights for e in rng.standard_exponential((10, 4))])
+        whole = jensen_probe_batch(F, pts, w)
+        assert shapes == [(10, 4, 3), (10, 1, 3)]
+        monkeypatch.setattr(probe, "_DIFF_ELEMENTS", 4 * 4 * 4 * 3 + 5)
+        shapes.clear()
+        chunked = jensen_probe_batch(F, pts, w)
+        assert [s[0] for s in shapes] == [4, 4, 4, 4, 2, 2]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(whole, chunked))
+        assert np.isnan(chunked.ratio[7])
 
     def test_floors_as_python_float_pow(self):
         # point scales where numpy's square of 1 + p differs from the

@@ -6,9 +6,10 @@ every report field that differs.
         [--oracles sc2 sc8 ...] [--work DIR] [-- extra hessfree flags]
 
 For every zoo oracle and seed, `estimate`, `falsify` (at L/2), `verify`
-(at L and at L/2) and `slices` (at L) run with `--out` and `--csv`: the
-convexity-split, cocoercivity and smoothness witnesses only appear in
-`verify` below the constant.  Each run is its own
+(at L and at L/2) and `slices` (at L) run with `--out`, and all but
+`slices`, which runs no probe search, with `--csv`.  The convexity-split,
+cocoercivity and smoothness witnesses only appear in `verify` below the
+constant.  Each run is its own
 `python -m hessfree.cli` subprocess with PYTHONPATH set to the tree.
 Reports are compared field by field, ignoring `wall_time_s` and the
 output paths; CSV files, exit codes and stderr are compared whole.  The
@@ -53,8 +54,9 @@ IGNORED = {("wall_time_s",), ("config", "out"), ("config", "csv")}
 def _argv(run: str, case: str, seed: int, stem: Path, extra: list[str]) -> list[str]:
     command, fraction = RUNS[run]
     oracle, params, level = ZOO[case]
-    argv = [command, "--oracle", oracle, "--seed", str(seed),
-            "--out", f"{stem}.json", "--csv", f"{stem}.csv"]
+    argv = [command, "--oracle", oracle, "--seed", str(seed), "--out", f"{stem}.json"]
+    if command != "slices":
+        argv += ["--csv", f"{stem}.csv"]
     if params:
         argv += ["--params", *map(repr, params)]
     if fraction is not None:

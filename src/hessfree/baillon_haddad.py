@@ -11,8 +11,11 @@ to (beta/2)||.||^2 - g being convex, and for G(x) = L x + grad_phi(x) the
     ||grad_phi(x) - grad_phi(y)||^2  <=  L^2 ||x - y||^2,
 
 i.e. L-Lipschitz continuity of grad_phi.  The checks below sample these
-statements at desk scale; sampling can falsify convexity or cocoercivity
-(with a replayable witness pair) but never certify them.
+statements on pairs drawn at the sampler's radius; sampling can falsify
+convexity or cocoercivity (with a replayable witness pair) but never
+certify them.  check_cocoercive's descent then walks without bound: its
+`verify --L 0.5` witnesses on cubic1d reach ||x|| = 171 against an RMS
+radius of 5 (one declared domain for every search is ROADMAP.md item 11).
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Subcommands: estimate, falsify, verify, slices.  Options may come from a
 JSON config file (--config), with command-line flags taking precedence;
-unknown config keys are rejected.  ``_OPTIONS`` is the one place an
-option is declared: its config key, flag, default, type, range check and
-help text.  The parser, ``_DEFAULTS``, ``RunConfig`` and every
-"<key> must be ..." check are derived from it.
+unknown keys, and keys of options the command does not take, are
+rejected.  ``_OPTIONS`` declares each option once: its config key, flag,
+default, type, range check and help text.  The parser, ``_DEFAULTS``,
+``RunConfig`` and every "<key> must be ..." check are derived from it.
 
 A config value must have its option's JSON type: an integer option takes
 a JSON integer, a number option any JSON number (an integer becomes a
@@ -67,7 +67,7 @@ class _Option(NamedTuple):
     check: tuple[Callable, str] | None  # (test, what a value passing it is)
     help: str
     budget: str | None = None  # the SearchBudget field it sets
-    commands: tuple[str, ...] = ("estimate", "falsify", "verify", "slices")  # take --<key>
+    commands: tuple[str, ...] = ("estimate", "falsify", "verify", "slices")  # take --<key> and its config key
     required: bool = False  # each command taking its flag needs a value
 
 
@@ -97,7 +97,7 @@ _OPTIONS = {
     "pairs": _Option(int, 400, _at_least(1), "pair budget for the check suites"),
     "fd_pairs": _Option(int, 10_000, _at_least(1), "pairs in the finite-difference cross-check"),
     "out": _Option(str, None, None, "report JSON path (stdout when omitted)"),
-    "csv": _Option(str, None, None, "per-probe CSV path"),
+    "csv": _Option(str, None, None, "per-probe CSV path", commands=("estimate", "falsify", "verify")),
     "claimed_L": _Option(float, None, _FINITE_NONNEG, "the constant to refute",
                          commands=("falsify",), required=True),
     "L": _Option(float, None, _FINITE_NONNEG, "the constant to check",
@@ -148,7 +148,7 @@ def _typed(key: str, value, kind: type):
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -156,13 +156,15 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key in (k for k, v in data.items() if v is not None and command not in _OPTIONS[k].commands):
+        raise ConfigError(f"{key} is not an option of {command}")
     return data
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = dict(_DEFAULTS)
     if args.config:
-        merged.update(_load_config_file(args.config))
+        merged.update(_load_config_file(args.config, args.command))
     for key in _OPTIONS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -391,7 +393,9 @@ def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
 
 # pairs per cmd_slices chunk: a chunk holds each pair's 1000 drawn sup
 # functionals and their products with its difference matrix (64 KB each
-# at m = d = 8), so this bounds the working set (about 2.5 MB on sc8)
+# at m = d = 8), about 2.5 MB on sc8.  A pair count, as chunk_rows(1000 m)
+# cut it to 2 pairs on sc8, where slices went 0.171 -> 0.252 s in-process,
+# slower on 6 of 6 seeds (2-core VM)
 _PAIR_CHUNK = 16
 
 
@@ -524,8 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         oracle = builtin(cfg.oracle, cfg.params)
         log = ProbeLog(collect=True)
         results, verdicts, code = _COMMANDS[cfg.command](cfg, oracle, log)
-        # slices runs no probe search, so it has no probe log to write
-        if cfg.csv and cfg.command != "slices":
+        if cfg.csv:
             _write_csv(log, cfg.csv)
         report = {
             "command": cfg.command,

@@ -36,7 +36,7 @@ from .probe import (
 )
 # SimplexWeights is not called here (a configuration batch normalizes its
 # weights with simplex_rows); the name stays for perfbench's span tracer
-from .vecspace import Configuration, Matrix, SimplexWeights, Vector, simplex_rows  # noqa: F401
+from .vecspace import Configuration, Matrix, SimplexWeights, Vector, chunk_rows, simplex_rows  # noqa: F401
 
 RNG_ALGORITHM = "numpy-pcg64/seedseq(seed,stream,batch)"
 
@@ -57,12 +57,8 @@ VIOLATION_ATOL_COEFF = 1e-12
 # larger than the probe-level spread floor.
 INFORMATIVE_SPREAD_COEFF = 1e-4
 
-# the step schedule of coordinate_search, and the most entries in one of
-# its trial stacks: the 64-trial sweep of a 4-point ascent at d = 8 fits
-# one stack, while at d = 128 a stack holds 32 of its 1024 trials
 ASCENT_SHRINK = 0.7
 ASCENT_LEVELS = 8
-_STACK_ELEMENTS = 1 << 14
 
 
 class ProbeRow(NamedTuple):
@@ -334,7 +330,7 @@ def coordinate_search(
     most steps trials are made; the current array is returned.
 
     The trials left in the sweep are built from the current array as one
-    (k, n, d) stack of at most _STACK_ELEMENTS entries, and judge(stack)
+    (k, n, d) stack of k <= chunk_rows(n d) trials, and judge(stack)
     returns (j, verdict) for its first decisive row j: verdict True (the
     trial becomes current) or None (the search ends), or (k - 1, False)
     when no row is decisive.  Rows after j count as not made: the search
@@ -344,7 +340,7 @@ def coordinate_search(
     n, d = current.shape
     rows, cols = np.divmod(np.arange(n * d).repeat(2), d)
     signs = np.tile([1.0, -1.0], n * d)
-    cap = max(1, _STACK_ELEMENTS // current.size)
+    cap = chunk_rows(current.size)
     used = level = 0
     while used < steps and level < ASCENT_LEVELS:
         step = 0.5 * (1.0 + radius) * ASCENT_SHRINK**level

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .vecspace import Matrix, Vector, as_point, as_stack, norm2, row_dots
+from .vecspace import Matrix, Vector, as_point, as_stack, chunk_rows, norm2, row_dots
 
 _EPS = float(np.finfo(np.float64).eps)
 FD_VALUE_STEP = _EPS ** (1.0 / 3.0)  # central differences on values
@@ -73,8 +73,8 @@ class DomainSampler:
 
     ``uniform`` draws from the box [-radius, radius]^dim (the default
     domain for derivative-based Lipschitz estimates); ``gaussian`` draws
-    a Gaussian cloud scaled so that E||x||^2 = radius^2, which is what
-    the probe search uses.
+    a Gaussian cloud scaled so that E||x||^2 = radius^2 for the check
+    suites; estimate's probe search draws the same cloud inline.
     """
 
     dim: int
@@ -336,12 +336,6 @@ def fd_hessian_vec(o: ScalarOracle, x: Vector, v: Vector) -> Vector:
     return central_differences(o.gradient, x, _gradient_steps(x)[:, :1] / nv, v[None, :])[0, :, 0]
 
 
-# points per oracle call of a finite difference: every FD stack, and with
-# it every FD consumer's working set, is bounded by this count instead of
-# growing with the batch size times d^2
-_FD_POINTS = 2048
-
-
 def central_differences(
     fn: Callable[[np.ndarray], np.ndarray],
     x: Matrix,
@@ -354,14 +348,14 @@ def central_differences(
     (B, K); a (B, m, K) stack.  The directions default to the basis
     vectors e_k, giving the (B, m, d) Jacobians.
 
-    fn sees the points as (b, K, d) stacks of at most _FD_POINTS points
-    (one row, K points, when K is larger), so a call's working set does
-    not grow with B.  Every entry is computed elementwise from its own row
+    fn sees the points as (b, K, d) stacks of chunk_rows(K d) rows, so a
+    call's working set does not grow with B, nor with d beyond one row's
+    K d entries.  Every entry is computed elementwise from its own row
     and each FD point stays an entry of a (b, K, d) stack, so the result
     does not depend on the block size: a matmul oracle sees the same
     (K, d) matrices whatever b is."""
     u = np.eye(x.shape[1]) if directions is None else directions
-    rows = max(1, _FD_POINTS // steps.shape[1])
+    rows = chunk_rows(steps.shape[1] * x.shape[1])
     out = None
     # an empty x still makes one (empty) call, which gives the output shape
     for lo in range(0, max(len(x), 1), rows):
@@ -396,13 +390,6 @@ def value_gradients(fn: Callable[[np.ndarray], np.ndarray], x: Matrix) -> Matrix
     return central_differences(lambda p: np.asarray(fn(p))[..., None], x, _value_steps(x))[:, 0]
 
 
-def fd_hessian(o: ScalarOracle, x: Vector) -> Matrix:
-    """Full Hessian by central differences of the gradient along the
-    basis vectors, step sqrt(eps) (1 + ||x||)."""
-    x = as_point(x)[None, :]
-    return central_differences(o.gradient, x, _gradient_steps(x))[0]
-
-
 def fd_jacobian(F: VectorOracle, x: Vector | Matrix) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued map, column by
     column with per-coordinate steps: (m, d) at one point (d,), or
@@ -433,17 +420,16 @@ def _lip_from_derivatives(
     derivative matrices (B, m, d).  Pairs closer than _MIN_PAIR_DIST are
     skipped.
 
-    Pairs are drawn x then y from rng, _FD_POINTS // (4 d) at a time: a
-    pair's two central-difference Jacobians take 4 d points, so a chunk is
-    one oracle call per sign and its derivative stack stays bounded as d
-    grows.  uniform draws one double per coordinate, so every chunk size
-    draws the same pairs, and the max over chunks does not depend on how
-    they are cut."""
+    Pairs are drawn x then y from rng, chunk_rows(4 d^2) at a time: a
+    pair's two central-difference Jacobians take 2 d points of d entries
+    at each sign, 4 d^2 entries in all (64 pairs at d = 8).  uniform
+    draws one double per coordinate, so every chunk size draws the same
+    pairs, and the max over chunks does not depend on how they are cut."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if sampler.radius <= 0.0:
         raise ValueError("degenerate sampler domain")
-    chunk = max(1, _FD_POINTS // (4 * sampler.dim))
+    chunk = chunk_rows(4 * sampler.dim**2)
     best = 0.0
     for start in range(0, budget, chunk):
         n = min(chunk, budget - start)

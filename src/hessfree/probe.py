@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oracles import VectorOracle
-from .vecspace import Configuration, Matrix, SimplexWeights, Vector, pair_spread, row_dots
+from .vecspace import Configuration, Matrix, SimplexWeights, Vector, chunk_rows, pair_spread, row_dots
 
 # below this, ratio is reported absent instead of dividing by near-zero
 SPREAD_FLOOR_COEFF = 1e-14
@@ -30,8 +30,10 @@ SPREAD_FLOOR_COEFF = 1e-14
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _T_GRID = 32
 _GOLDEN_ITERS = 20
-_GRID_CHUNK = 64  # pairs per grid scan: bounds the (pairs, 31, d) working set
-_DIFF_ELEMENTS = 1 << 16  # entries of jensen_probe_batch's difference stack per chunk
+# pairs per grid scan, bounding its (pairs, 31, d) working set: a pair count,
+# as chunk_rows(31 d) grew it to 528 pairs at d = 1 and refute peak RSS by
+# 0.7-1.0 MB (3 of 3 paired benchmark runs, 2-core VM)
+_GRID_CHUNK = 64
 
 
 def scale_floor(coeff: float, point_scale):
@@ -97,9 +99,9 @@ def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
 def jensen_probe_batch(F: VectorOracle, points: np.ndarray, weights: Matrix) -> ProbeBatch:
     """jensen_probe on B configurations of n points each, points (B, n, d)
     and simplex weights (B, n), in one F.eval on the B n points and one on
-    the B centres of each chunk of rows.  A chunk's (rows, n, n, d)
-    difference stack holds at most _DIFF_ELEMENTS entries, so the working
-    set does not grow with d; a (512, 4, 4, 8) stack is one chunk.
+    the B centres of each chunk of chunk_rows(n n d) rows.  A chunk's
+    (rows, n, n, d) difference stack stays within the chunk budget, so the
+    working set does not grow with d; a (512, 4, 4, 8) batch is 4 chunks.
 
     Every reduction is the one-configuration reduction run on each row:
     the vector products by stacked matmul, the squared distances and
@@ -113,7 +115,7 @@ def jensen_probe_batch(F: VectorOracle, points: np.ndarray, weights: Matrix) -> 
     if pts.shape[2] != F.dim_in:
         raise ValueError(f"configuration dim {pts.shape[2]} != oracle dim_in {F.dim_in}")
     _, n, d = pts.shape
-    rows = max(1, _DIFF_ELEMENTS // (n * n * d))
+    rows = chunk_rows(n * n * d)
     # an empty batch still makes one (empty) chunk, which gives the shapes
     parts = [_probe_rows(F, pts[i : i + rows], w[i : i + rows]) for i in range(0, max(len(pts), 1), rows)]
     return parts[0] if len(parts) == 1 else ProbeBatch(*map(np.concatenate, zip(*parts)))

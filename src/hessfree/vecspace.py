@@ -24,6 +24,15 @@ Matrix: TypeAlias = NDArray[np.float64]
 WEIGHT_SUM_SLACK = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
+_CHUNK_ELEMENTS = 1 << 14  # entries (128 KB) in one chunk's largest temporary
+
+
+def chunk_rows(elements_per_row: int) -> int:
+    """Rows per chunk of a chunked array kernel (FD blocks and pairs, probe
+    chunks, trial stacks), at least one, when a row puts elements_per_row
+    entries in the chunk's largest temporary."""
+    return max(1, _CHUNK_ELEMENTS // elements_per_row)
+
 
 def as_point(x) -> Vector:
     """Coerce to a finite 1-D float64 array of dimension >= 1."""

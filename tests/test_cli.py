@@ -166,6 +166,16 @@ class TestSlicesCommand:
         assert rep["verdicts"]["lipschitz_transfer"] is False
         assert rep["verdicts"]["functional_sup_realization"] is False
 
+    def test_csv_flag_rejected(self, tmp_path, capsys):
+        # slices runs no probe search, so it has no probe log to write
+        out, path = tmp_path / "s.json", tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["slices", "--oracle", "poly_map_2d", "--seed", "1", "--L", "2", "--csv", str(path),
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not out.exists() and not path.exists()
+
 
 class TestPinnedCheckReports:
     """Exact check-suite results at small budgets, seed 42: a change to
@@ -317,10 +327,39 @@ class TestBadInput:
         cfg = {"oracle": "poly_map_2d", "seed": 1, "L": 2.0, "pairs": 4, key: value}
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "r.json"
-        argv = ["slices", "--config", str(cfg_path)] + ([] if key == "out" else ["--out", str(out)])
+        argv = ["verify", "--config", str(cfg_path)] + ([] if key == "out" else ["--out", str(out)])
         assert run(argv) == 2
         assert capsys.readouterr().err == f"hessfree: error: {key} must be {message}, got {value!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("estimate", "L", 2.0),
+        ("estimate", "claimed_L", 2.0),
+        ("falsify", "L", 2.0),
+        ("verify", "claimed_L", 1.0),
+        ("slices", "claimed_L", 1.0),
+        ("slices", "csv", "p.csv"),
+    ])
+    def test_config_key_the_command_does_not_take(self, command, key, value, tmp_path, capsys):
+        # the value would be range-checked, echoed in config and ignored
+        value = str(tmp_path / value) if key == "csv" else value
+        cfg = {"oracle": "poly_map_2d", "seed": 1, "L": 2.0, "claimed_L": 1.0, key: value}
+        cfg = {k: v for k, v in cfg.items() if k == key or command in cli._OPTIONS[k].commands}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.json"
+        assert run([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"hessfree: error: {key} is not an option of {command}\n"
+        assert not out.exists() and not (tmp_path / "p.csv").exists()
+
+    def test_null_key_the_command_does_not_take(self, tmp_path):
+        # null still means "not given"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oracle": "cubic1d", "params": [1.0], "seed": 1, "L": None,
+                                        "claimed_L": None}))
+        out = tmp_path / "r.json"
+        assert run(["estimate", "--config", str(cfg_path), "--out", str(out)] + FAST) == 0
+        assert load(out)["config"]["L"] is None
 
     @pytest.mark.parametrize("key", ["oracle", "seed", "L"])
     def test_null_required_value(self, key, tmp_path, capsys):
@@ -379,9 +418,10 @@ class TestOptionSurface:
     COMMON = {
         "-h", "--help", "--config", "--oracle", "--params", "--seed", "--budget-configs",
         "--budget-pairs", "--budget-ascent", "--max-n", "--domain-radius", "--n-functionals",
-        "--pairs", "--fd-pairs", "--out", "--csv",
+        "--pairs", "--fd-pairs", "--out",
     }
-    EXTRA = {"estimate": set(), "falsify": {"--claimed-L"}, "verify": {"--L"}, "slices": {"--L"}}
+    EXTRA = {"estimate": {"--csv"}, "falsify": {"--claimed-L", "--csv"}, "verify": {"--L", "--csv"},
+             "slices": {"--L"}}
 
     def test_flags_per_command(self):
         parser = cli._build_parser()
@@ -406,7 +446,9 @@ class TestOptionSurface:
     def test_flags_equal_config_file(self, command, options, tmp_path):
         # FAST sets pairs 80; slices overrides it with 20 on both sides
         fast = dict(zip((f[2:].replace("-", "_") for f in FAST[::2]), map(int, FAST[1::2])))
-        options = {**fast, **options, "csv": str(tmp_path / "p.csv")}
+        # slices runs no probe search, so it takes no --csv
+        csv = {} if command == "slices" else {"csv": str(tmp_path / "p.csv")}
+        options = {**fast, **options, **csv}
         argv = [command]
         for key, value in options.items():
             argv += [f"--{key.replace('_', '-')}", *map(str, value if isinstance(value, list) else [value])]
@@ -420,7 +462,8 @@ class TestOptionSurface:
             rep.pop("wall_time_s")
             rep["config"].pop("out")
         assert a == b
-        assert a["config"] == {"command": command, "claimed_L": None, "L": None, **cli._DEFAULTS, **options}
+        assert a["config"] == {"command": command, "claimed_L": None, "L": None, "csv": None, **cli._DEFAULTS,
+                               **options}
 
 
 class TestDeterminism:

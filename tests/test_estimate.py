@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hessfree import estimate
+from hessfree import estimate, vecspace
 from hessfree.estimate import (
     ASCENT_LEVELS,
     ASCENT_SHRINK,
@@ -26,7 +26,7 @@ from hessfree.estimate import (
     stream_rng,
     violates,
 )
-from hessfree.oracles import VectorOracle, as_vector_oracle, builtin
+from hessfree.oracles import DomainSampler, ScalarOracle, VectorOracle, as_vector_oracle, builtin, lip_from_hessians
 from hessfree.probe import ProbeBatch, best_t_probe, jensen_probe
 from hessfree.vecspace import Configuration, SimplexWeights
 
@@ -382,6 +382,38 @@ class TestWorkingSet:
         assert rep.l_fd > 0.0
         assert peak < 16e6
 
+    def test_chunks_within_one_budget_at_d128(self, monkeypatch):
+        # every FD oracle call, every coordinate-search stack and every
+        # jensen_probe_batch chunk's (rows, n, n, d) difference stack holds
+        # at most vecspace._CHUNK_ELEMENTS entries, and each fills it
+        limit = vecspace._CHUNK_ELEMENTS
+        o = builtin("separable_cubic", [3.0] + [1.0] * 127)
+        shapes = []
+
+        def grad(x):
+            shapes.append(np.shape(x))
+            return o.gradient(x)
+
+        lip_from_hessians(ScalarOracle(128, o.value, grad, "counting"), DomainSampler(128), 3,
+                          np.random.default_rng(0))
+        assert max(int(np.prod(s)) for s in shapes) == limit  # one (1, 128, 128) block
+
+        stacks = []
+        search = estimate.coordinate_search
+
+        def recording(start, steps, radius, judge):
+            return search(start, steps, radius, lambda stack: stacks.append(stack.size) or judge(stack))
+
+        monkeypatch.setattr(estimate, "coordinate_search", recording)
+        shapes.clear()
+        F = VectorOracle(128, 128, grad, "counting")
+        rng = np.random.default_rng(1)
+        start = jensen_probe(F, Configuration(rng.standard_normal((4, 128)), SimplexWeights(np.full(4, 0.25))))
+        _ascend(F, start, 100, 5.0, ProbeLog())
+        assert max(stacks) == limit  # 32 trials of a (4, 128) array
+        chunks = [s for s in shapes if len(s) == 3 and s[1] == 4]
+        assert max(b * n * n * d for b, n, d in chunks) == limit  # 8 rows of (4, 4, 128)
+
     def test_probe_log_packed(self):
         F = as_vector_oracle(builtin("separable_cubic", [3.0, 1.0]))
         rng = np.random.default_rng(2)
@@ -550,9 +582,9 @@ class TestCoordinateSearch:
 
     @pytest.mark.parametrize("elements", [1, 6, 13])
     def test_capped_stacks_same_trials(self, monkeypatch, elements):
-        # a stack holds at most _STACK_ELEMENTS entries, and at least one
-        # trial: the cap changes the stacks but not the trials
-        monkeypatch.setattr(estimate, "_STACK_ELEMENTS", elements)
+        # a stack holds at most vecspace._CHUNK_ELEMENTS entries, and at
+        # least one trial: the cap changes the stacks but not the trials
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
         for p_accept, stop_at in ((0.0, None), (0.3, None), (0.3, 17)):
             ref, ref_end = self._trials((2, 3), 200, p_accept, stop_at, 4)
             stacks = []

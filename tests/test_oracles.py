@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hessfree import oracles
+from hessfree import vecspace
 from hessfree.cli import _build_parser, _merge_config, _verify_functional_checks
 from hessfree.estimate import STREAM_FD, stream_rng
 from hessfree.oracles import (
@@ -11,10 +11,10 @@ from hessfree.oracles import (
     FD_VALUE_STEP,
     ScalarOracle,
     VectorOracle,
+    _gradient_steps,
     as_vector_oracle,
     builtin,
     central_differences,
-    fd_hessian,
     fd_hessian_vec,
     fd_jacobian,
     lip_from_hessians,
@@ -246,7 +246,8 @@ class TestFdJacobian:
             h = FD_GRAD_STEP * (1.0 + np.array([np.sqrt(v @ v) for v in x]))
             rows = central_differences(o.gradient, x, np.repeat(h[:, None], o.dim, axis=1))
             for xi, row in zip(x, rows):
-                np.testing.assert_array_equal(fd_hessian(o, xi), row)
+                xi = xi[None, :]
+                np.testing.assert_array_equal(central_differences(o.gradient, xi, _gradient_steps(xi))[0], row)
         F = builtin("poly_map_2d")
         x = rng.uniform(-5, 5, (6, 2))
         rows = central_differences(F.eval, x, FD_VALUE_STEP * np.maximum(1.0, np.abs(x)))
@@ -255,9 +256,9 @@ class TestFdJacobian:
 
     def test_consistent_with_hessian_for_gradient_map(self):
         o = builtin("separable_cubic", [3.0, 1.0])
-        x = np.array([0.5, -1.5])
+        x = np.array([[0.5, -1.5]])
         np.testing.assert_allclose(
-            fd_jacobian(o.gradient_oracle(), x), fd_hessian(o, x), atol=1e-6
+            fd_jacobian(o.gradient_oracle(), x), central_differences(o.gradient, x, _gradient_steps(x)), atol=1e-6
         )
 
 
@@ -368,14 +369,15 @@ def _fd_results(name):
 
 
 class TestFdPointBudget:
-    """central_differences evaluates at most _FD_POINTS points per call;
-    no result depends on that budget."""
+    """central_differences evaluates at most vecspace._CHUNK_ELEMENTS
+    point entries per call; no result depends on that budget, which also
+    sizes the pair chunks, probe chunks and trial stacks _fd_results runs."""
 
-    @pytest.mark.parametrize("points", [1, 7, 10**9], ids=["one", "odd", "whole_stack"])
-    def test_results_independent_of_budget(self, points, monkeypatch):
+    @pytest.mark.parametrize("elements", [1, 7, 10**9], ids=["one", "odd", "whole_stack"])
+    def test_results_independent_of_budget(self, elements, monkeypatch):
         for name in FD_BUDGET_ZOO:
             want = _fd_results(name)
-            monkeypatch.setattr(oracles, "_FD_POINTS", points)
+            monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
             got = _fd_results(name)
             monkeypatch.undo()
             assert got.keys() == want.keys()
@@ -386,7 +388,7 @@ class TestFdPointBudget:
                     assert got[key] == want[key], f"{name} {key}"
 
     def test_calls_bounded_and_cover_every_row(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_FD_POINTS", 7)
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", 13)
         F = builtin("poly_map_2d")
         shapes = []
 
@@ -396,7 +398,7 @@ class TestFdPointBudget:
 
         x = np.random.default_rng(0).uniform(-2, 2, (13, 2))
         rows = central_differences(fn, x, FD_VALUE_STEP * np.maximum(1.0, np.abs(x)))
-        # 3 rows of 2 points per block: 5 blocks, each called at +h and -h
+        # 3 rows of 2 x 2 entries per block: 5 blocks, each called at +h and -h
         assert shapes == [(3, 2, 2)] * 8 + [(1, 2, 2)] * 2
         np.testing.assert_array_equal(rows, fd_jacobian(F, x))
         assert central_differences(fn, x[:0], np.ones((0, 2))).shape == (0, 2, 2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessfree import probe
+from hessfree import vecspace
 from hessfree.oracles import BUILTIN_NAMES, VectorOracle, as_vector_oracle, builtin
 from hessfree.probe import (
     ProbeResult,
@@ -136,10 +136,10 @@ class TestJensenProbeBatch:
                 assert r.ratio is None
 
     def test_chunks_bound_the_difference_stack(self, monkeypatch):
-        # rows run in chunks of _DIFF_ELEMENTS // (n n d) configurations,
-        # each one F.eval on its points and one on its centres; a config
-        # batch of 512 at n = 4, d = 8 is one chunk
-        assert 512 * 4 * 4 * 8 <= probe._DIFF_ELEMENTS
+        # rows run in chunks of chunk_rows(n n d) configurations, each one
+        # F.eval on its points and one on its centres; a config batch of
+        # 512 at n = 4, d = 8 is 4 chunks of 128
+        assert vecspace.chunk_rows(4 * 4 * 8) == 128
         F0 = as_vector_oracle(builtin("separable_cubic", [3.0, 1.0, 0.5]))
         shapes = []
 
@@ -154,7 +154,7 @@ class TestJensenProbeBatch:
         w = np.stack([SimplexWeights(e / e.sum()).weights for e in rng.standard_exponential((10, 4))])
         whole = jensen_probe_batch(F, pts, w)
         assert shapes == [(10, 4, 3), (10, 1, 3)]
-        monkeypatch.setattr(probe, "_DIFF_ELEMENTS", 4 * 4 * 4 * 3 + 5)
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", 4 * 4 * 4 * 3 + 5)
         shapes.clear()
         chunked = jensen_probe_batch(F, pts, w)
         assert [s[0] for s in shapes] == [4, 4, 4, 4, 2, 2]

@@ -20,13 +20,14 @@ radius of 5 (one declared domain for every search is ROADMAP.md item 11).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimate import coordinate_search
 from .oracles import DomainSampler
-from .vecspace import Matrix, Vector, row_dots
+from .vecspace import Matrix, Vector, require_finite, row_dots
 
 COCOERCIVITY_TOL_COEFF = 1e-10
 CONVEXITY_TOL_COEFF = 1e-10
@@ -79,12 +80,26 @@ def _pair_differences(G, x, y) -> tuple[Matrix, Matrix, Matrix, bool]:
 
 
 def _residuals(dg: Matrix, dxy: Matrix, beta: float) -> Vector:
-    return row_dots(dg, dxy) - row_dots(dg, dg) / beta
+    with np.errstate(over="ignore"):
+        r = row_dots(dg, dxy) - row_dots(dg, dg) / beta
+    require_finite("cocoercivity", r)
+    return r
+
+
+def _square(v: float) -> float:
+    """v**2 through Python's float pow, as the values at every finite
+    scale always had it, and inf where it overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
 
 
 def _max_norm(a: Matrix) -> float:
-    """The largest row norm of a (B, k) stack, each as norm2 gives it."""
-    return float(np.sqrt(row_dots(a, a).max()))
+    """The largest row norm of a (B, k) stack, each as norm2 gives it;
+    inf where a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(row_dots(a, a).max()))
 
 
 def cocoercivity_residual(G, beta: float, x: Vector, y: Vector):
@@ -159,7 +174,8 @@ def check_cocoercive(
 
     wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, judge)
 
-    tol = COCOERCIVITY_TOL_COEFF * (1.0 + gscale + pscale) ** 2
+    tol = COCOERCIVITY_TOL_COEFF * _square(1.0 + gscale + pscale)
+    require_finite("cocoercivity", tol)
     return CocoercivityReport(
         beta=beta,
         min_residual=worst,
@@ -189,7 +205,9 @@ def lipschitz_from_cocoercivity(G_phi, L: float, x: Vector, y: Vector):
     # it: libm's pow(v, 2) is not correctly rounded, so numpy's square
     # would move about 0.1% of the values by an ulp
     dist_sq = np.array([v**2 for v in np.sqrt(row_dots(dxy, dxy)).tolist()])
-    rhs = L**2 * dist_sq
+    with np.errstate(over="ignore"):
+        rhs = _square(L) * dist_sq
+    require_finite("expansion_step", lhs, rhs)
     return (float(lhs[0]), float(rhs[0])) if single else (lhs, rhs)
 
 
@@ -215,12 +233,14 @@ def convexity_split_check(
     xs = sampler.gaussian(rng, pairs)
     ys = sampler.gaussian(rng, pairs)
     stacked = np.concatenate([0.5 * (xs + ys), xs, ys], axis=0)
-    g_base = 0.5 * L * np.einsum("ij,ij->i", stacked, stacked)
+    with np.errstate(over="ignore"):
+        g_base = 0.5 * L * np.einsum("ij,ij->i", stacked, stacked)
     phi_vals = np.asarray(phi(stacked), dtype=np.float64)
     if not np.isfinite(phi_vals).all():
         raise ValueError("non-finite value in convexity probe")
     splits = {"plus": g_base + phi_vals, "minus": g_base - phi_vals}
     tol = CONVEXITY_TOL_COEFF * (1.0 + float(max(np.abs(g).max() for g in splits.values())))
+    require_finite("convexity_split", tol)
     worst, witnesses = {}, []
     for which, g in splits.items():
         # v = g(mid) - (g(x) + g(y)) / 2 per pair

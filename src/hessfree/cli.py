@@ -58,7 +58,7 @@ from .slices import (  # noqa: F401
     unit_directions,
     unit_functional_set,
 )
-from .vecspace import norm2, row_dots
+from .vecspace import norm2, require_finite, row_dots
 
 
 class _Option(NamedTuple):
@@ -463,7 +463,10 @@ def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
         diffs = difference_matrix(F, xs, ys)
         norms = np.linalg.norm(diffs, 2, axis=(1, 2))
         nrm = sampled_norm(diffs, norm_fs, dirs, norms)
-        worst_transfer = max(worst_transfer, float((nrm - cfg.L * dists * (1.0 + 1e-3)).max()))
+        with np.errstate(over="ignore"):
+            bound = cfg.L * dists * (1.0 + 1e-3)
+        require_finite("lipschitz_transfer", bound)
+        worst_transfer = max(worst_transfer, float((nrm - bound).max()))
         worst_realization = min(
             worst_realization, float(functional_sup_ratio(diffs, sup_fs[: len(draws)], norms).min())
         )

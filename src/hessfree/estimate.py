@@ -15,10 +15,13 @@ bit-identical across reruns and batch sizes.
 A batch of random configurations is probed as arrays by
 jensen_probe_batch, one call per point count n, and so is each stack of
 ascent trials that coordinate_search builds from the rest of a sweep.
-Only the rows the search acts on become ProbeResults, each re-evaluated
-through jensen_probe: the first violating row when falsifying, then the
-batch's best candidate, or the ascent's stop hit or final best.  Every
-witness is therefore a jensen_probe result and replays bit for bit.
+A batch of two-point pairs is scanned over t in lockstep, and without a
+stop (estimate_L) its winners are probed as arrays too; falsify still
+replays each winner through two_point_probe (ROADMAP item 1).  Only the
+rows the search acts on become ProbeResults, each re-evaluated through
+jensen_probe: the first violating row when falsifying, then the batch's
+best candidate, or the ascent's stop hit or final best.  Every witness
+is therefore a jensen_probe result and replays bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ import numpy as np
 
 from .oracles import DomainSampler, ScalarOracle, VectorOracle, as_vector_oracle, lip_from_hessians, lip_from_jacobians
 from .probe import (
-    _GOLDEN_ITERS, _T_GRID, ProbeBatch, ProbeResult, best_t_probe, jensen_probe, jensen_probe_batch, scale_floor,
+    _GOLDEN_ITERS, _T_GRID, ProbeBatch, ProbeResult, best_t_probe, best_t_scan, jensen_probe, jensen_probe_batch,
+    scale_floor,
 )
-# SimplexWeights is not called here (a configuration batch normalizes its
-# weights with simplex_rows); the name stays for perfbench's span tracer
-from .vecspace import Configuration, Matrix, SimplexWeights, Vector, chunk_rows, simplex_rows  # noqa: F401
+from .vecspace import Configuration, Matrix, SimplexWeights, Vector, chunk_rows, simplex_rows
 
 RNG_ALGORITHM = "numpy-pcg64/seedseq(seed,stream,batch)"
 
@@ -254,23 +256,40 @@ def _batches(total: int) -> Iterator[tuple[int, int]]:
         yield b, min(_BATCH, total - start)
 
 
-# probes evaluated inside one best_t_probe call: 31 grid + 2 + 20 golden
+# t values one pair's best_t_scan evaluates: 31 grid + 2 + 20 golden
 _T_PROBES_PER_PAIR = (_T_GRID - 1) + 2 + _GOLDEN_ITERS
 
 
 def _two_point_results(
-    F: VectorOracle, budget: SearchBudget, log: ProbeLog
+    F: VectorOracle, budget: SearchBudget, log: ProbeLog, stop: Callable[[ProbeResult], bool] | None
 ) -> Iterator[ProbeResult]:
+    """Each batch's pairs are scanned over t in lockstep by best_t_scan.
+    Without a stop, the winners are probed as one (B, 2, d) batch and only
+    the batch's first row of best candidate ratio is yielded, rebuilt
+    through jensen_probe; a search with a stop replays and yields every
+    pair through best_t_probe (batching it waits on ROADMAP item 1).
+    Either way each pair logs one row, its winner, and counts
+    _T_PROBES_PER_PAIR probes."""
     scale = budget.domain_radius / math.sqrt(F.dim_in)
     for b, count in _batches(budget.two_point_pairs):
         rng = stream_rng(budget.seed, STREAM_PAIRS, b)
         # x then y for each pair, in the generator's draw order
         xy = rng.standard_normal((count, 2, F.dim_in)) * scale
-        for r in best_t_probe(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF):
-            # only the per-pair maximum is kept as a row; count all evals
-            log.count += _T_PROBES_PER_PAIR - 1
-            log.add("two_point", r)
-            yield r
+        # only the per-pair maximum is kept as a row; count all evals
+        if stop is not None:
+            for r in best_t_probe(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF):
+                log.count += _T_PROBES_PER_PAIR - 1
+                log.add("two_point", r)
+                yield r
+            continue
+        ts = best_t_scan(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+        # the weights two_point_probe gives each pair's winning t
+        w = np.stack([1.0 - ts, ts], axis=1)
+        rows = jensen_probe_batch(F, xy, simplex_rows(w))
+        log.count += (_T_PROBES_PER_PAIR - 1) * count
+        log.add_batch("two_point", [2] * count, rows, 0, count)
+        k = int(np.argmax(_candidate_ratios(rows)))
+        yield jensen_probe(F, Configuration(xy[k], SimplexWeights(w[k])))
 
 
 def _probe_draws(
@@ -416,7 +435,7 @@ def _search(
     """
     best: ProbeResult | None = None
     best_c = -math.inf  # _candidate_ratio(best), kept rather than recomputed per row
-    for phase in (_two_point_results(F, budget, log), _config_results(F, budget, log, stop)):
+    for phase in (_two_point_results(F, budget, log, stop), _config_results(F, budget, log, stop)):
         for r in phase:
             if stop is not None and stop(r):
                 return best, r

@@ -180,23 +180,18 @@ def _keep_max(best_t, best_r, t, r):
     return np.where(better, t, best_t), np.where(better, r, best_r)
 
 
-def best_t_probe(
-    F: VectorOracle, x: Vector, y: Vector, min_spread_coeff: float = 0.0
-) -> ProbeResult | list[ProbeResult]:
-    """Maximize the two-point ratio over t: coarse grid t = k/32
-    (k = 1..31), then golden-section refinement over the bracketing
-    interval around the best grid point.
+def best_t_scan(F: VectorOracle, x: Matrix, y: Matrix, min_spread_coeff: float = 0.0) -> Vector:
+    """The t of each pair's largest two-point ratio, for (B, d) stacks x
+    and y of B pairs: coarse grid t = k/32 (k = 1..31), then golden-section
+    refinement over the bracketing interval around the best grid point.
 
-    x and y are one pair of points (d,), returning one result, or stacks
-    (B, d) of B pairs, returning B results; the pairs of a stack run the
-    grid and every golden-section step in lockstep, bit-identical to
-    probing them one at a time.  The scan shares F(x), F(y) and the pair
-    geometry across all t; each winning t is then re-evaluated through
-    two_point_probe so the returned result is replayable bit-for-bit.
-    min_spread_coeff, when positive, declares t values with spread below
+    The pairs run the grid and every golden-section step in lockstep, so
+    each t is the one a scan of that pair alone finds, bit for bit.  The
+    scan shares F(x), F(y) and the pair geometry across all t; it returns
+    only the t, whose probe the caller evaluates.  min_spread_coeff, when
+    positive, declares t values with spread below
     min_spread_coeff * (1 + max norm)^2 uninformative for the scan.
     """
-    single = np.ndim(x) <= 1
     x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
     y = np.ascontiguousarray(np.atleast_2d(y), dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2:
@@ -240,7 +235,25 @@ def best_t_probe(
                         np.where(left, c, t), np.where(left, rc, r))
     best_t, best_r = _keep_max(best_t, best_r, c, rc)
     best_t, best_r = _keep_max(best_t, best_r, d, rd)
-    out = [two_point_probe(F, xi, yi, float(t)) for xi, yi, t in zip(x, y, best_t)]
+    return best_t
+
+
+def best_t_probe(
+    F: VectorOracle, x: Vector, y: Vector, min_spread_coeff: float = 0.0
+) -> ProbeResult | list[ProbeResult]:
+    """best_t_scan, then each pair's winning t re-evaluated through
+    two_point_probe, so every result replays bit for bit.
+
+    x and y are one pair of points (d,), returning one result, or stacks
+    (B, d) of B pairs, returning B results, each what probing that pair
+    alone returns.  The replay is one oracle call per pair; estimate_L
+    probes a batch's winners as arrays instead, and falsify replays each
+    pair until ROADMAP item 1.
+    """
+    single = np.ndim(x) <= 1
+    x, y = np.atleast_2d(x, y)
+    ts = best_t_scan(F, x, y, min_spread_coeff)
+    out = [two_point_probe(F, xi, yi, t) for xi, yi, t in zip(x, y, ts.tolist())]
     return out[0] if single else out
 
 

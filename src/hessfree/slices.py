@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import FD_VALUE_STEP, DomainSampler, VectorOracle, central_differences, value_gradients
-from .vecspace import Matrix, Vector, as_point, as_stack, row_dots
+from .vecspace import Matrix, Vector, as_point, as_stack, require_finite, row_dots
 
 # slice-smoothness comparison: FD noise allowance on top of L ||x-y||
 SMOOTHNESS_RTOL = 1e-4
@@ -109,6 +109,8 @@ def slice_smoothness_check(
     xs = sampler.gaussian(rng, pairs)
     ys = sampler.gaussian(rng, pairs)
     dists = np.sqrt(np.einsum("ij,ij->i", xs - ys, xs - ys))
+    with np.errstate(over="ignore"):
+        bounds = l_eff * dists * (1.0 + SMOOTHNESS_RTOL) + SMOOTHNESS_ATOL
     worst = -np.inf
     witness = None
     for f in functionals:
@@ -116,7 +118,7 @@ def slice_smoothness_check(
         gx = grad(xs)
         gy = grad(ys)
         gd = np.sqrt(np.einsum("ij,ij->i", gx - gy, gx - gy))
-        bounds = l_eff * dists * (1.0 + SMOOTHNESS_RTOL) + SMOOTHNESS_ATOL
+        require_finite("slice_smoothness", gd, bounds)
         excess = gd - bounds
         k = int(np.argmax(excess))
         if excess[k] > worst:

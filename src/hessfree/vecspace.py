@@ -59,6 +59,14 @@ def as_stack(x) -> tuple[Matrix, bool]:
     return a, False
 
 
+def require_finite(check: str, *values) -> None:
+    """Raise ValueError naming check when any of values, the residuals,
+    bounds or tolerance it decides by, is NaN or infinite: a number that
+    overflowed reads as a pass or a violation it is not."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{check} check: a residual, bound or tolerance overflows at this scale")
+
+
 def norm2(a: Vector) -> float:
     """Euclidean norm ||a||."""
     a = np.asarray(a, dtype=np.float64)

@@ -268,6 +268,13 @@ class TestLipschitzFromCocoercivity:
         with pytest.raises(ValueError):
             lipschitz_from_cocoercivity(lambda p: p, 0.0, np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("L, x", [(1.4e154, 1.0), (1e153, 1e3)], ids=["L_squared", "rhs"])
+    def test_overflowing_bound_rejected(self, L, x):
+        # L**2 overflowed in an OverflowError, and L**2 ||x - y||^2 to an
+        # inf rhs that no lhs exceeds
+        with pytest.raises(ValueError, match="expansion_step check"):
+            lipschitz_from_cocoercivity(lambda p: p, L, np.array([x]), np.array([0.0]))
+
 
 class TestBatchedPairs:
     """(B, d) stacks of pairs give the single-pair values bit for bit."""
@@ -307,6 +314,12 @@ class TestConvexitySplitCheck:
         rep = convexity_split_check(phi, 1.0, self.sampler(), np.random.default_rng(42), 500)
         assert rep.passed
         assert rep.worst_plus <= rep.tol and rep.worst_minus <= rep.tol
+
+    def test_overflowing_tolerance_rejected(self):
+        # (L/2) ||x||^2 overflows: an inf tolerance once passed every pair
+        phi = lambda p: np.asarray(p)[..., 0] ** 2
+        with pytest.raises(ValueError, match="convexity_split check"):
+            convexity_split_check(phi, 1e308, self.sampler(), np.random.default_rng(42), 50)
 
     def test_oversteep_slice_fails_minus_split(self):
         # phi = x^2 has curvature 2 > L = 1: (L/2) x^2 - phi is concave

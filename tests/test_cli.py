@@ -273,6 +273,25 @@ class TestBadInput:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, L, check", [
+        # the cocoercivity residuals and tolerance overflow: the check
+        # failed on -inf, passed on an inf tolerance, or ended in a
+        # traceback (exit 1, a certified violation)
+        ("verify", "1e153", "cocoercivity"),
+        ("verify", "1e154", "cocoercivity"),
+        ("verify", "1.4e154", "cocoercivity"),
+        # L ||x - y|| overflows on some pairs, whose inf bound passed
+        ("slices", "1e308", "lipschitz_transfer"),
+    ])
+    def test_check_overflow_exits_2(self, command, L, check, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = [command, "--oracle", "poly_map_2d", "--seed", "1", "--pairs", "50", "--L", L]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"hessfree: error: {check} check: a residual, bound or tolerance overflows at this scale\n"
+        )
+        assert not out.exists()
+
     def test_no_informative_probe(self, tmp_path, capsys):
         # every probe of a 1e-12-wide domain is spread-degenerate
         out = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hessfree.estimate import (
     ASCENT_SHRINK,
     INFORMATIVE_SPREAD_COEFF,
     STREAM_CONFIGS,
+    STREAM_PAIRS,
     NoInformativeProbeError,
     ProbeLog,
     SearchBudget,
@@ -312,6 +314,59 @@ def _bump_oracle(centre):
         return x @ a.T + (np.exp(-r2 / 1e-5) * 100.0)[..., None]
 
     return VectorOracle(2, 2, ev, "bump")
+
+
+def _reference_two_point(F, budget):
+    """The two-point phase as each pair's best_t_probe replay, in stream
+    order: every pair's winner as a ProbeResult."""
+    scale = budget.domain_radius / math.sqrt(F.dim_in)
+    for b, count in _batches(budget.two_point_pairs):
+        xy = stream_rng(budget.seed, STREAM_PAIRS, b).standard_normal((count, 2, F.dim_in)) * scale
+        yield from best_t_probe(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+
+
+class TestTwoPointStreamOrder:
+    """The batched two-point phase of estimate_L against the per-pair
+    replay; 700 pairs end inside the second batch."""
+
+    BUDGET = SearchBudget(two_point_pairs=700, random_configs=0, ascent_steps=0, seed=9)
+
+    @pytest.mark.parametrize("name", [*ZOO, "affine", "quadratic", "zero"])
+    def test_estimate_matches_per_pair_replay(self, name):
+        # the zero map ties every ratio at 0: the first row must win
+        if name == "zero":
+            o = builtin("affine", [0.0, 0.0])
+        else:
+            o = builtin(*ZOO[name]) if name in ZOO else builtin(name)
+        ref = list(_reference_two_point(as_vector_oracle(o), self.BUDGET))
+        best = None
+        for r in ref:
+            if best is None or _candidate_ratio(r) > _candidate_ratio(best):
+                best = r
+        log = ProbeLog(collect=True)
+        cert = estimate_L(o, self.BUDGET, log=log)
+        assert _same_probe(cert.witness, best)
+        assert _same_probe(replay(cert.witness, o), best)
+        assert log.rows == [("two_point", (2, r.gap, r.spread, r.ratio)) for r in ref]
+        assert cert.l_lower == best.ratio
+        assert cert.probes_used == log.count == 700 * _T_PROBES_PER_PAIR
+
+    def test_one_batch_oracle_cost(self):
+        # the scan's 31 calls (F(x) and F(y), 8 grid chunks of 64 pairs,
+        # 22 golden steps), one jensen_probe_batch chunk's 2, and the
+        # rebuilt best's 2: 58 points per pair plus 3.  Replaying each
+        # pair took 1 055 calls for 29 696 points.
+        F0 = as_vector_oracle(builtin(*ZOO["cubic1d"]))
+        points = []
+
+        def count(p):
+            points.append(int(np.prod(np.shape(p)[:-1])))
+            return F0.eval(p)
+
+        F = VectorOracle(F0.dim_in, F0.dim_out, count, "counting")
+        estimate_L(F, SearchBudget(two_point_pairs=512, random_configs=0, ascent_steps=0, seed=3))
+        assert (len(points), sum(points)) == (35, 29_699)
+        assert sum(points) == 512 * (2 + _T_PROBES_PER_PAIR + 3) + 3
 
 
 class TestTwoPointCount:

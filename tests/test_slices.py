@@ -132,6 +132,11 @@ class TestSliceSmoothnessCheck:
         )
         assert rep.passed
 
+    def test_overflowing_bound_rejected(self):
+        # L ||x - y|| overflows: an inf bound once passed every pair
+        with pytest.raises(ValueError, match="slice_smoothness check"):
+            slice_smoothness_check(builtin("poly_map_2d"), 1e308, 8, DomainSampler(2), np.random.default_rng(42))
+
     def test_understated_constant_fails_with_witness(self):
         # true constant of poly_map_2d is 2; the e1 slice x1^2 already has
         # a 2-Lipschitz gradient, violating the claimed 1

@@ -20,14 +20,13 @@ radius of 5 (one declared domain for every search is ROADMAP.md item 11).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimate import coordinate_search
 from .oracles import DomainSampler
-from .vecspace import Matrix, Vector, require_finite, row_dots
+from .vecspace import Matrix, Vector, require_finite, row_dots, row_norms, squares
 
 COCOERCIVITY_TOL_COEFF = 1e-10
 CONVEXITY_TOL_COEFF = 1e-10
@@ -86,20 +85,11 @@ def _residuals(dg: Matrix, dxy: Matrix, beta: float) -> Vector:
     return r
 
 
-def _square(v: float) -> float:
-    """v**2 through Python's float pow, as the values at every finite
-    scale always had it, and inf where it overflows."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
-
-
 def _max_norm(a: Matrix) -> float:
     """The largest row norm of a (B, k) stack, each as norm2 gives it;
     inf where a square overflows."""
     with np.errstate(over="ignore"):
-        return float(np.sqrt(row_dots(a, a).max()))
+        return float(row_norms(a).max())
 
 
 def cocoercivity_residual(G, beta: float, x: Vector, y: Vector):
@@ -174,7 +164,7 @@ def check_cocoercive(
 
     wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, judge)
 
-    tol = COCOERCIVITY_TOL_COEFF * _square(1.0 + gscale + pscale)
+    tol = COCOERCIVITY_TOL_COEFF * squares(1.0 + gscale + pscale)
     require_finite("cocoercivity", tol)
     return CocoercivityReport(
         beta=beta,
@@ -201,12 +191,8 @@ def lipschitz_from_cocoercivity(G_phi, L: float, x: Vector, y: Vector):
         raise ValueError("L must be > 0")
     dphi, dxy, _, single = _pair_differences(G_phi, x, y)
     lhs = row_dots(dphi, dphi)
-    # ||x - y||^2 through Python's float pow, as a single pair always had
-    # it: libm's pow(v, 2) is not correctly rounded, so numpy's square
-    # would move about 0.1% of the values by an ulp
-    dist_sq = np.array([v**2 for v in np.sqrt(row_dots(dxy, dxy)).tolist()])
     with np.errstate(over="ignore"):
-        rhs = _square(L) * dist_sq
+        rhs = squares(L) * squares(row_norms(dxy))
     require_finite("expansion_step", lhs, rhs)
     return (float(lhs[0]), float(rhs[0])) if single else (lhs, rhs)
 

@@ -47,6 +47,8 @@ from .oracles import DomainSampler, as_vector_oracle, builtin, fd_jacobian
 # derivative_norm_via_functionals is not called here (cmd_slices takes the
 # pair norms from sampled_norm); the name stays for perfbench's span tracer
 from .slices import (  # noqa: F401
+    L_FLOOR,
+    lipschitz_bound,
     derivative_norm_via_functionals,
     difference_matrix,
     functional_sup_ratio,
@@ -58,7 +60,7 @@ from .slices import (  # noqa: F401
     unit_directions,
     unit_functional_set,
 )
-from .vecspace import norm2, require_finite, row_dots
+from .vecspace import norm2, row_norms
 
 
 class _Option(NamedTuple):
@@ -188,23 +190,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _plain(obj):
-    """Recursively convert to JSON-serializable builtins."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _cert_dict(cert) -> dict:
     w = cert.witness
     witness = {"gap": w.gap, "spread": w.spread, "ratio": w.ratio, "oracle_label": w.oracle_label,
@@ -227,11 +212,18 @@ def _probe_stats(log: ProbeLog) -> dict | None:
     counts, edges = np.histogram(ratios, bins=32, range=(0.0, upper))
     stats["max_ratio"] = mx
     stats["histogram"] = {"bin_edges": edges.tolist(), "counts": counts.tolist()}
-    return _plain(stats)
+    return stats
+
+
+def _json_default(obj):
+    """numpy arrays and scalars as builtins (np.float64, a float, never gets here)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -356,7 +348,7 @@ def _verify_functional_checks(F, cfg: RunConfig, l_eff: float) -> dict:
 
 def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     F = as_vector_oracle(oracle)
-    l_eff = max(cfg.L, 1e-9)
+    l_eff = max(cfg.L, L_FLOOR)
 
     violation = falsify(oracle, cfg.L, cfg.budget(), log=log)
     func_checks = _verify_functional_checks(F, cfg, l_eff)
@@ -365,15 +357,6 @@ def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
         F, cfg.L, cfg.n_functionals, sampler,
         stream_rng(cfg.seed, STREAM_CHECKS, 1), pairs=cfg.pairs,
     )
-
-    verdicts = {
-        "probe_soundness": violation is None,
-        "convexity_split": func_checks["convexity_split"]["passed"],
-        "cocoercivity": func_checks["cocoercivity"]["passed"],
-        "expansion_step": func_checks["expansion_step"]["passed"],
-        "slice_smoothness": smooth.passed,
-    }
-    verdicts["all"] = all(verdicts.values())
 
     results = {
         "L": cfg.L,
@@ -388,6 +371,9 @@ def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
             "witness": None if smooth.witness is None else asdict(smooth.witness),
         },
     }
+    checks = ("probe_soundness", "convexity_split", "cocoercivity", "expansion_step", "slice_smoothness")
+    verdicts = {name: results[name]["passed"] for name in checks}
+    verdicts["all"] = all(verdicts.values())
     return results, verdicts, 0 if verdicts["all"] else 1
 
 
@@ -397,11 +383,6 @@ def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
 # cut it to 2 pairs on sc8, where slices went 0.171 -> 0.252 s in-process,
 # slower on 6 of 6 seeds (2-core VM)
 _PAIR_CHUNK = 16
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """norm2 of each row, bit for bit."""
-    return np.sqrt(row_dots(v, v))
 
 
 def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
@@ -432,11 +413,11 @@ def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
         rec, joint, rec2, scaled = reconstruct_derivative_action(
             F, np.tile(xs, (4, 1)), np.concatenate([hs, hs + h2s, h2s, alphas[:, None] * hs])
         ).reshape(4, len(xs), F.dim_out)
-        rel = _row_norms(rec - ref) / np.maximum(_row_norms(ref), 1.0)
+        rel = row_norms(rec - ref) / np.maximum(row_norms(ref), 1.0)
         worst_rel = max(worst_rel, float(rel.max()))
-        scale = np.maximum(_row_norms(rec), 1.0)
-        add = _row_norms(joint - (rec + rec2)) / scale
-        hom = _row_norms(scaled - alphas[:, None] * rec) / scale
+        scale = np.maximum(row_norms(rec), 1.0)
+        add = row_norms(joint - (rec + rec2)) / scale
+        hom = row_norms(scaled - alphas[:, None] * rec) / scale
         worst_lin = max(worst_lin, float(add.max()), float(hom.max()))
 
     # Lipschitz transfer plus how well sampled unit functionals attain
@@ -463,9 +444,7 @@ def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
         diffs = difference_matrix(F, xs, ys)
         norms = np.linalg.norm(diffs, 2, axis=(1, 2))
         nrm = sampled_norm(diffs, norm_fs, dirs, norms)
-        with np.errstate(over="ignore"):
-            bound = cfg.L * dists * (1.0 + 1e-3)
-        require_finite("lipschitz_transfer", bound)
+        bound = lipschitz_bound("lipschitz_transfer", cfg.L, dists, 1e-3)
         worst_transfer = max(worst_transfer, float((nrm - bound).max()))
         worst_realization = min(
             worst_realization, float(functional_sup_ratio(diffs, sup_fs[: len(draws)], norms).min())
@@ -492,10 +471,10 @@ def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
 
 
 _COMMANDS = {
-    "estimate": cmd_estimate,
-    "falsify": cmd_falsify,
-    "verify": cmd_verify,
-    "slices": cmd_slices,
+    "estimate": (cmd_estimate, "lower-bound the constant and cross-validate against finite differences"),
+    "falsify": (cmd_falsify, "search for a probe refuting a claimed constant"),
+    "verify": (cmd_verify, "run the full check suite at a given constant"),
+    "slices": (cmd_slices, "slice reconstruction and Lipschitz-transfer checks"),
 }
 
 
@@ -507,12 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hessfree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("estimate", "lower-bound the constant and cross-validate against finite differences"),
-        ("falsify", "search for a probe refuting a claimed constant"),
-        ("verify", "run the full check suite at a given constant"),
-        ("slices", "slice reconstruction and Lipschitz-transfer checks"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         for key, opt in _OPTIONS.items():
@@ -530,16 +504,16 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         oracle = builtin(cfg.oracle, cfg.params)
         log = ProbeLog(collect=True)
-        results, verdicts, code = _COMMANDS[cfg.command](cfg, oracle, log)
+        results, verdicts, code = _COMMANDS[cfg.command][0](cfg, oracle, log)
         if cfg.csv:
             _write_csv(log, cfg.csv)
         report = {
             "command": cfg.command,
-            "config": _plain(asdict(cfg)),
+            "config": asdict(cfg),
             "version": __version__,
             "rng": {"algorithm": RNG_ALGORITHM, "seed": cfg.seed},
-            "results": _plain(results),
-            "verdicts": _plain(verdicts),
+            "results": results,
+            "verdicts": verdicts,
             "probe_stats": _probe_stats(log),
         }
         report["wall_time_s"] = time.perf_counter() - t0

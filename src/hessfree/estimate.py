@@ -328,7 +328,9 @@ def _config_results(
         ]
         ns = [len(w) for _, w in draws]
         rows = _probe_draws(F, draws, ns)
-        hits = np.flatnonzero(stop(rows)).tolist() if stop is not None else []
+        # a bound overflowing to inf is sound: no finite gap exceeds it
+        with np.errstate(over="ignore"):
+            hits = np.flatnonzero(stop(rows)).tolist() if stop is not None else []
         logged = 0
         for k in hits:
             log.add_batch("config", ns, rows, logged, k + 1)
@@ -404,7 +406,8 @@ def _ascend(
         nonlocal best_c, hit
         rows = jensen_probe_batch(F, stack, np.broadcast_to(w.weights, stack.shape[:2]))
         c = _candidate_ratios(rows)
-        stops = np.asarray(stop(rows), dtype=bool) if stop is not None else np.zeros(len(c), bool)
+        with np.errstate(over="ignore"):  # as in _config_results
+            stops = np.asarray(stop(rows), dtype=bool) if stop is not None else np.zeros(len(c), bool)
         decisive = stops | (c > best_c)
         j = int(np.argmax(decisive)) if decisive.any() else len(c) - 1
         log.add_batch("ascent", [start.config.n] * len(c), rows, 0, j + 1)

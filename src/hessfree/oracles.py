@@ -14,12 +14,12 @@ route: nothing in the probe machinery uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .vecspace import Matrix, Vector, as_point, as_stack, chunk_rows, norm2, row_dots
+from .vecspace import Matrix, Vector, as_point, as_stack, chunk_rows, norm2, row_norms
 
 _EPS = float(np.finfo(np.float64).eps)
 FD_VALUE_STEP = _EPS ** (1.0 / 3.0)  # central differences on values
@@ -131,18 +131,10 @@ def quadratic(q: Matrix) -> ScalarOracle:
 
 
 def cubic1d(c: float) -> ScalarOracle:
-    """f(x) = c x^3 / 6 on R.  f''(x) = c x, so known_L = |c|; every
-    interior two-point probe of the gradient attains the ratio |c|."""
-    c = float(c)
-
-    def val(x, _c=c):
-        x = np.asarray(x)
-        return _c * x[..., 0] ** 3 / 6.0
-
-    def grad(x, _c=c):
-        return _c * np.asarray(x) ** 2 / 2.0
-
-    return ScalarOracle(1, val, grad, f"cubic1d({c:g})", known_L=abs(c))
+    """f(x) = c x^3 / 6 on R, the one-coefficient separable_cubic.
+    f''(x) = c x, so known_L = |c|; every interior two-point probe of the
+    gradient attains the ratio |c|."""
+    return replace(separable_cubic([c]), label=f"cubic1d({float(c):g})")
 
 
 def separable_cubic(coeffs: Sequence[float]) -> ScalarOracle:
@@ -291,18 +283,11 @@ def builtin(name: str, params: Sequence[float] = ()) -> ScalarOracle | VectorOra
         if not params:
             raise ValueError("separable_cubic takes at least one coefficient")
         return separable_cubic(params)
-    if name == "norm_cubed":
+    dimensioned = {"norm_cubed": norm_cubed, "logistic_like": logistic_like, "rosenbrock": rosenbrock}
+    if name in dimensioned:
         if len(params) > 1:
-            raise ValueError("norm_cubed takes an optional dimension")
-        return norm_cubed(int(params[0]) if params else 3)
-    if name == "logistic_like":
-        if len(params) > 1:
-            raise ValueError("logistic_like takes an optional dimension")
-        return logistic_like(int(params[0]) if params else 1)
-    if name == "rosenbrock":
-        if len(params) > 1:
-            raise ValueError("rosenbrock takes an optional dimension")
-        return rosenbrock(int(params[0]) if params else 2)
+            raise ValueError(f"{name} takes an optional dimension")
+        return dimensioned[name](*map(int, params))
     if name == "poly_map_2d":
         if params:
             raise ValueError("poly_map_2d takes no params")
@@ -375,7 +360,7 @@ def central_differences(
 
 def _gradient_steps(x: Matrix) -> Matrix:
     """sqrt(eps) (1 + ||x||) on every coordinate of each row."""
-    h = FD_GRAD_STEP * (1.0 + np.sqrt(row_dots(x, x)))
+    h = FD_GRAD_STEP * (1.0 + row_norms(x))
     return np.repeat(h[:, None], x.shape[1], axis=1)
 
 
@@ -435,7 +420,7 @@ def _lip_from_derivatives(
         n = min(chunk, budget - start)
         pairs = sampler.uniform(rng, 2 * n).reshape(n, 2, sampler.dim)
         diff = pairs[:, 0] - pairs[:, 1]
-        dist = np.sqrt(row_dots(diff, diff))
+        dist = row_norms(diff)
         keep = dist >= _MIN_PAIR_DIST
         if not keep.any():
             continue

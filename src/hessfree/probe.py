@@ -22,7 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .oracles import VectorOracle
-from .vecspace import Configuration, Matrix, SimplexWeights, Vector, chunk_rows, pair_spread, row_dots
+from .vecspace import (
+    Configuration, Matrix, SimplexWeights, Vector, chunk_rows, pair_spread, row_dots, row_norms, squares,
+)
 
 # below this, ratio is reported absent instead of dividing by near-zero
 SPREAD_FLOOR_COEFF = 1e-14
@@ -38,12 +40,9 @@ _GRID_CHUNK = 64
 
 def scale_floor(coeff: float, point_scale):
     """coeff * (1 + point_scale)^2 for one point scale or an array of
-    them, through Python's float pow either way: libm's pow(v, 2) is not
-    correctly rounded, so numpy's square would move about 0.1% of the
-    floors of a batch by an ulp against the one-probe floor."""
-    if np.ndim(point_scale) == 0:
-        return coeff * (1.0 + float(point_scale)) ** 2
-    return coeff * np.array([(1.0 + p) ** 2 for p in np.asarray(point_scale).tolist()])
+    them, squared by vecspace.squares, so a batch's floors equal the
+    one-probe floors bit for bit."""
+    return coeff * squares(1.0 + point_scale)
 
 
 @dataclass(frozen=True)
@@ -132,13 +131,13 @@ def _probe_rows(F: VectorOracle, pts: np.ndarray, w: Matrix) -> ProbeBatch:
         raise ValueError(f"non-finite output from oracle {F.label!r}")
     center = center[:, 0]
     resid = center - (wr @ values)[:, 0]
-    gap = np.sqrt(row_dots(resid, resid))
+    gap = row_norms(resid)
     diff = pts[:, :, None, :] - pts[:, None, :, :]
     d2 = np.einsum("bijk,bijk->bij", diff, diff)
     spread = 0.5 * (wr @ d2 @ w[:, :, None])[:, 0, 0]
     point_scale = np.sqrt(np.einsum("bij,bij->bi", pts, pts).max(axis=1))
     vs = np.sqrt(np.einsum("...i,...i->...", values, values).max(axis=1))
-    value_scale = np.maximum(vs, np.sqrt(row_dots(center, center)))
+    value_scale = np.maximum(vs, row_norms(center))
     ok = spread > scale_floor(SPREAD_FLOOR_COEFF, point_scale)
     ratio = np.full(len(pts), math.nan)
     ratio[ok] = 2.0 * gap[ok] / spread[ok]
@@ -203,7 +202,7 @@ def best_t_scan(F: VectorOracle, x: Matrix, y: Matrix, min_spread_coeff: float =
     # per-pair dot products, as the single-pair scan computes them
     diff = x - y
     d2 = row_dots(diff, diff)
-    ps = np.maximum(np.sqrt(row_dots(x, x)), np.sqrt(row_dots(y, y)))
+    ps = np.maximum(row_norms(x), row_norms(y))
     floor = scale_floor(max(SPREAD_FLOOR_COEFF, min_spread_coeff), ps)
 
     def scan(ts, rows=slice(None)):

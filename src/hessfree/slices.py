@@ -23,12 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import FD_VALUE_STEP, DomainSampler, VectorOracle, central_differences, value_gradients
-from .vecspace import Matrix, Vector, as_point, as_stack, require_finite, row_dots
+from .vecspace import Matrix, Vector, as_point, as_stack, require_finite, row_norms
 
-# slice-smoothness comparison: FD noise allowance on top of L ||x-y||
+# checks at L: the smoothness rtol, lipschitz_bound's FD allowance and L floor
 SMOOTHNESS_RTOL = 1e-4
 SMOOTHNESS_ATOL = 1e-8
 L_FLOOR = 1e-9
+
+
+def lipschitz_bound(check: str, L: float, dists, rtol: float):
+    """max(L, L_FLOOR) dists (1 + rtol) + SMOOTHNESS_ATOL: what a check at L
+    allows an FD derivative difference at distances dists, even at L = 0.
+    ValueError naming check where it overflows."""
+    with np.errstate(over="ignore"):
+        bound = max(L, L_FLOOR) * dists * (1.0 + rtol) + SMOOTHNESS_ATOL
+    require_finite(check, bound)
+    return bound
 
 
 def unit_functional_set(dim_out: int, count: int, rng: np.random.Generator) -> Matrix:
@@ -40,7 +50,7 @@ def unit_functional_set(dim_out: int, count: int, rng: np.random.Generator) -> M
     missing = count - 2 * dim_out
     while missing > 0:
         g = rng.standard_normal((missing, dim_out))
-        n = np.sqrt(row_dots(g, g))  # norm2 of each row, bit for bit
+        n = row_norms(g)
         keep = n > 1e-12
         rows.append(g / n[:, None] if keep.all() else g[keep] / n[keep, None])
         missing -= int(keep.sum())
@@ -99,18 +109,15 @@ def slice_smoothness_check(
     rng: np.random.Generator,
     pairs: int = 200,
 ) -> SliceSmoothnessReport:
-    """Check ||grad phi(x) - grad phi(y)|| <= L ||x - y|| (1 + 1e-4) + atol
-    for FD gradients of sampled unit slices.  L is floored at 1e-9 so
-    that derivative-constant maps (L = 0) remain checkable."""
+    """Check ||grad phi(x) - grad phi(y)|| against lipschitz_bound at
+    ||x - y|| with rtol 1e-4, for FD gradients of sampled unit slices."""
     if pairs < 1 or n_functionals < 1:
         raise ValueError("budget must be >= 1")
-    l_eff = max(L, L_FLOOR)
     functionals = unit_functional_set(F.dim_out, n_functionals, rng)
     xs = sampler.gaussian(rng, pairs)
     ys = sampler.gaussian(rng, pairs)
     dists = np.sqrt(np.einsum("ij,ij->i", xs - ys, xs - ys))
-    with np.errstate(over="ignore"):
-        bounds = l_eff * dists * (1.0 + SMOOTHNESS_RTOL) + SMOOTHNESS_ATOL
+    bounds = lipschitz_bound("slice_smoothness", L, dists, SMOOTHNESS_RTOL)
     worst = -np.inf
     witness = None
     for f in functionals:
@@ -118,7 +125,7 @@ def slice_smoothness_check(
         gx = grad(xs)
         gy = grad(ys)
         gd = np.sqrt(np.einsum("ij,ij->i", gx - gy, gx - gy))
-        require_finite("slice_smoothness", gd, bounds)
+        require_finite("slice_smoothness", gd)
         excess = gd - bounds
         k = int(np.argmax(excess))
         if excess[k] > worst:
@@ -157,11 +164,11 @@ def reconstruct_derivative_action(F: VectorOracle, x: Vector | Matrix, h: Vector
     if x.shape[1] != F.dim_in or h.shape != x.shape:
         raise ValueError("dimension mismatch")
     out = np.zeros((len(x), F.dim_out))
-    nh = np.sqrt(row_dots(h, h))
+    nh = row_norms(h)
     live = nh != 0.0
     if live.any():
         x, h = x[live], h[live]
-        s = FD_VALUE_STEP * (1.0 + np.sqrt(row_dots(x, x))) / nh[live]
+        s = FD_VALUE_STEP * (1.0 + row_norms(x)) / nh[live]
         out[live] = central_differences(F.eval, x, s[:, None], h[:, None, :])[:, :, 0]
     return out[0] if single else out
 
@@ -228,12 +235,12 @@ def derivative_norm_via_functionals(
 def functional_sup_ratio(diff: np.ndarray, functionals: np.ndarray, norm):
     """How much of the operator norm the sampled unit functionals
     realize: max over the functionals y* of ||D^T y*||, divided by the
-    exact spectral norm given (1.0 where that is <= 1e-300, a numerically
-    zero difference).  With the direction h optimized exactly per
-    functional, this isolates how well the sampled dual ball attains the
-    sup defining the norm.  One matrix (m, d) with functionals (K, m) gives
+    exact spectral norm given (1.0 where that is at most SMOOTHNESS_ATOL,
+    FD noise of a numerically zero difference).  With the direction h
+    optimized exactly per functional, this isolates how well the sampled
+    dual ball attains the sup defining the norm.  One matrix (m, d) with functionals (K, m) gives
     a float; stacks (B, m, d), (B, K, m) and (B,) norms give (B,)."""
     yd = functionals @ diff
     sups = np.sqrt(np.einsum("...ij,...ij->...i", yd, yd)).max(axis=-1)
-    zero = norm <= 1e-300
+    zero = norm <= SMOOTHNESS_ATOL
     return np.where(zero, 1.0, sups / np.where(zero, 1.0, norm))[()]

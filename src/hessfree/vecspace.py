@@ -6,6 +6,9 @@ two derived quantities that everything downstream consumes are the convex
 combination sum_i w_i x_i and the pair spread
 
     S = sum_{i<j} w_i w_j ||x_i - x_j||^2.
+
+Where stacked code must match the one-row code bit for bit, row_norms
+gives each row's norm as norm2 does, and squares squares as Python does.
 """
 
 from __future__ import annotations
@@ -78,6 +81,27 @@ def row_dots(a: Matrix, b: Matrix) -> Vector:
     runs the single-row dot on each row, so every entry equals a_i @ b_i
     bit for bit (einsum can differ in the last ulp)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a: Matrix) -> Vector:
+    """norm2 of each row of a (B, k) stack, bit for bit."""
+    return np.sqrt(row_dots(a, a))
+
+
+def squares(v):
+    """v**2 for a number or each entry of an array by Python's float pow,
+    inf where it overflows: libm's pow(v, 2) is not correctly rounded, so
+    numpy's square and ``a ** 2`` move about 0.1% of the values by an ulp."""
+    if not isinstance(v, np.ndarray):
+        try:
+            return float(v) ** 2
+        except OverflowError:
+            return np.inf
+    flat = v.ravel().tolist()
+    try:
+        return np.array([p**2 for p in flat]).reshape(v.shape)
+    except OverflowError:
+        return np.array(list(map(squares, flat))).reshape(v.shape)
 
 
 def _check_entries(w: np.ndarray) -> None:

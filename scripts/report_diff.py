@@ -12,8 +12,14 @@ cocoercivity and smoothness witnesses only appear in `verify` below the
 constant.  Each run is its own
 `python -m hessfree.cli` subprocess with PYTHONPATH set to the tree.
 Reports are compared field by field, ignoring `wall_time_s` and the
-output paths; CSV files, exit codes and stderr are compared whole.  The
-exit status is 1 when anything differs and 0 otherwise.  Flags after
+output paths; CSV files, exit codes and stderr are compared whole, and a
+run whose exit code or stderr moved still has its report and CSV
+compared.  Each run of a closed-form map also has an expected exit:
+`estimate`, and `verify` and `slices` at L, exit 0; `falsify` and
+`verify` at L/2 exit 1 on a nonzero map and 0 on a zero-constant one.  A
+run off its expected exit is printed for each tree it happens on, so a
+failure both trees share shows too.  The exit status is 1 when anything
+differs or a run is off its expected exit, and 0 otherwise.  Flags after
 `--` go to every run, for example smaller budgets.
 """
 
@@ -35,7 +41,7 @@ RUNS = {
     "verify_half": ("verify", 0.5),
     "slices": ("slices", 1.0),
 }
-# name -> (oracle, params, L): L is known_L where it has a closed form
+# name -> (oracle, params, L): L is known_L for the CLOSED_FORM names
 ZOO = {
     "cubic1d": ("cubic1d", [1.0], 1.0),
     "sc2": ("separable_cubic", [3.0, 1.0], 3.0),
@@ -48,6 +54,7 @@ ZOO = {
     "quadratic": ("quadratic", [], 0.0),
     "quadratic8": ("quadratic", [float((3 * i + 5 * j) % 7 - 3) for i in range(8) for j in range(8)], 0.0),
 }
+CLOSED_FORM = {"cubic1d", "sc2", "sc8", "poly_map_2d", "affine", "quadratic", "quadratic8"}
 IGNORED = {("wall_time_s",), ("config", "out"), ("config", "csv")}
 
 
@@ -103,7 +110,6 @@ def compare(old: Path, new: Path) -> list[str]:
         ro, rn = runs_old.get(key), runs_new.get(key)
         if ro != rn:
             diffs.append(f"{key}: run {ro!r} -> {rn!r}")
-            continue
         for suffix in (".json", ".csv"):
             fo, fn = old / f"{key}{suffix}", new / f"{key}{suffix}"
             if fo.exists() != fn.exists():
@@ -117,6 +123,24 @@ def compare(old: Path, new: Path) -> list[str]:
                 a, b = json.loads(fo.read_text()), json.loads(fn.read_text())
                 diffs += [f"{key}: {d}" for d in _field_diffs(a, b)]
     return diffs
+
+
+def expected_exit(case: str, run: str) -> int | None:
+    """The exit code a run must give, or None where L has no closed form."""
+    if case not in CLOSED_FORM:
+        return None
+    return 1 if RUNS[run][1] == 0.5 and ZOO[case][2] > 0.0 else 0
+
+
+def off_expected(out: Path, label: str) -> list[str]:
+    """One line for each run of a run_tree output off its expected exit."""
+    lines = []
+    for key, r in sorted(json.loads((out / "runs.json").read_text()).items()):
+        case, _, run = key.split("-")
+        want = expected_exit(case, run)
+        if want is not None and r["exit"] != want:
+            lines.append(f"{label} {key}: exit {r['exit']}, expected {want}; stderr {r['stderr']!r}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,11 +159,12 @@ def main(argv: list[str] | None = None) -> int:
         for label, src in (("old", args.old), ("new", args.new)):
             run_tree(src, work / label, args.oracles, args.seeds, extra)
         diffs = compare(work / "old", work / "new")
-    for line in diffs:
+        off = off_expected(work / "old", "old") + off_expected(work / "new", "new")
+    for line in diffs + off:
         print(line)
     runs = len(args.oracles) * len(args.seeds) * len(RUNS)
-    print(f"{runs} runs per tree, {len(diffs)} differences")
-    return 1 if diffs else 0
+    print(f"{runs} runs per tree, {len(diffs)} differences" + (f", {len(off)} off their expected exit" if off else ""))
+    return 1 if diffs or off else 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,18 @@ what probing one pair or one configuration at a time would, and the
 max-ratio reduction breaks ties by stream position, so certificates are
 bit-identical across reruns and batch sizes.
 
-A batch of random configurations is probed as arrays by
-jensen_probe_batch, one call per point count n, and so is each stack of
-ascent trials that coordinate_search builds from the rest of a sweep.
+A batch of random configurations is drawn whole, in three generator
+calls: the point counts ns = integers(2, max_n + 1, size=B), then a
+(B, max_n, d) block of standard normals times radius / sqrt(d), then
+(B, max_n) standard exponentials.  Configuration k takes the first ns[k]
+points and exponentials of row k, its weights the exponentials over
+their sum.  Drawing each configuration by itself would take 3 B scalar
+calls, and it cannot be batched bit for bit: the normal and exponential
+samplers use a variable number of words per value, and integers keeps a
+buffered half word from one call to the next.  The batch is then probed
+as arrays by jensen_probe_batch, one call per point count n, and so is
+each stack of ascent trials that coordinate_search builds from the rest
+of a sweep.
 A batch of two-point pairs is scanned over t in lockstep, and without a
 stop (estimate_L) its winners are probed as arrays too; falsify still
 replays each winner through two_point_probe (ROADMAP item 1).  Only the
@@ -38,7 +47,7 @@ from .probe import (
     _GOLDEN_ITERS, _T_GRID, ProbeBatch, ProbeResult, best_t_probe, best_t_scan, jensen_probe, jensen_probe_batch,
     scale_floor,
 )
-from .vecspace import Configuration, Matrix, SimplexWeights, Vector, chunk_rows, simplex_rows
+from .vecspace import Configuration, Matrix, SimplexWeights, chunk_rows, simplex_rows
 
 RNG_ALGORITHM = "numpy-pcg64/seedseq(seed,stream,batch)"
 
@@ -231,23 +240,34 @@ def violates(r: ProbeResult | ProbeBatch, claimed_l: float):
     return r.gap - 0.5 * claimed_l * r.spread > violation_tolerance(r, claimed_l)
 
 
-def _draw_configuration(
-    rng: np.random.Generator, dim: int, max_n: int, radius: float
-) -> tuple[Matrix, Vector]:
-    """Points and weights as drawn; the weights become SimplexWeights
-    (one configuration) or simplex_rows (a batch) before any probe."""
-    n = int(rng.integers(2, max_n + 1))
-    pts = rng.standard_normal((n, dim)) * (radius / math.sqrt(dim))
-    e = rng.standard_exponential(n)
-    return pts, e / e.sum()
+def _draw_configurations(
+    rng: np.random.Generator, count: int, dim: int, max_n: int, radius: float
+) -> tuple[np.ndarray, np.ndarray, Matrix]:
+    """A batch of count configurations by the draw rule, in three
+    generator calls: the point counts ns (count,), a (count, max_n, dim)
+    Gaussian block at RMS radius, then (count, max_n) unit-rate
+    exponentials.  Configuration k is the first ns[k] points and
+    exponentials of row k, the exponentials divided by their sum."""
+    ns = rng.integers(2, max_n + 1, size=count)
+    pts = rng.standard_normal((count, max_n, dim)) * (radius / math.sqrt(dim))
+    return ns, pts, rng.standard_exponential((count, max_n))
 
 
 def sample_configuration(
     rng: np.random.Generator, dim: int, max_n: int, radius: float
 ) -> Configuration:
     """n uniform in {2..max_n}, Gaussian points at RMS radius, weights
-    Dirichlet(1,..,1) via normalized unit-rate exponentials."""
-    return Configuration(*_draw_configuration(rng, dim, max_n, radius))
+    Dirichlet(1,..,1) via normalized unit-rate exponentials.
+
+    It draws what _draw_configurations draws for a one-row batch (n, a
+    (max_n, dim) block of points, max_n exponentials) and keeps the first
+    n of each, so it equals row 0 of that batch bit for bit.  It makes the
+    three draws as scalar calls, which cost a single configuration about
+    half of what the batch path's array set-up does."""
+    n = int(rng.integers(2, max_n + 1))
+    pts = rng.standard_normal((max_n, dim))[:n] * (radius / math.sqrt(dim))
+    e = rng.standard_exponential(max_n)[:n]
+    return Configuration(pts, e / e.sum())
 
 
 def _batches(total: int) -> Iterator[tuple[int, int]]:
@@ -292,19 +312,16 @@ def _two_point_results(
         yield jensen_probe(F, Configuration(xy[k], SimplexWeights(w[k])))
 
 
-def _probe_draws(
-    F: VectorOracle, draws: list[tuple[Matrix, Vector]], ns: list[int]
-) -> ProbeBatch:
-    """jensen_probe_batch on configurations of ns[k] points each, one call
-    per n with the weights normalized as SimplexWeights would, with the
-    rows put back in draw order."""
-    out = np.empty((len(ProbeBatch._fields), len(draws)))
+def _probe_draws(F: VectorOracle, ns: np.ndarray, pts: np.ndarray, e: Matrix) -> ProbeBatch:
+    """jensen_probe_batch on a _draw_configurations batch, one call per
+    point count n with the weights normalized as SimplexWeights would,
+    with the rows put back in draw order."""
+    out = np.empty((len(ProbeBatch._fields), len(ns)))
     # sorted(set()), not np.unique, which imports numpy.ma (about 1 MB)
-    for n in sorted(set(ns)):
-        rows = np.flatnonzero(np.equal(ns, n))
-        pts = np.stack([draws[k][0] for k in rows])
-        w = simplex_rows(np.stack([draws[k][1] for k in rows]))
-        out[:, rows] = jensen_probe_batch(F, pts, w)
+    for n in sorted(set(ns.tolist())):
+        rows = np.flatnonzero(ns == n)
+        en = e[rows, :n]  # each row summed as the 1-D e[k, :n].sum() sums it
+        out[:, rows] = jensen_probe_batch(F, pts[rows, :n], simplex_rows(en / en.sum(axis=1, keepdims=True)))
     return ProbeBatch(*out)
 
 
@@ -314,30 +331,30 @@ def _config_results(
     log: ProbeLog,
     stop: Callable[[ProbeResult | ProbeBatch], object] | None = None,
 ) -> Iterator[ProbeResult]:
-    """Each batch is probed whole before anything is yielded, like a
-    two-point batch, so a stop takes effect at batch granularity in both
-    phases.  What is yielded is what the search can act on: each row that
-    stop flags, in stream order, then the first row of the batch's best
-    candidate ratio.  A search that stops on a row has logged the rows up
-    to it, as when every row was yielded."""
+    """Each batch is drawn whole by _draw_configurations and probed whole
+    before anything is yielded, like a two-point batch, so a stop takes
+    effect at batch granularity in both phases.  What is yielded is what
+    the search can act on: each row that stop flags, in stream order, then
+    the first row of the batch's best candidate ratio.  A search that stops
+    on a row has logged the rows up to it, as when every row was yielded."""
     for b, count in _batches(budget.random_configs):
         rng = stream_rng(budget.seed, STREAM_CONFIGS, b)
-        draws = [
-            _draw_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius)
-            for _ in range(count)
-        ]
-        ns = [len(w) for _, w in draws]
-        rows = _probe_draws(F, draws, ns)
-        # a bound overflowing to inf is sound: no finite gap exceeds it
-        with np.errstate(over="ignore"):
-            hits = np.flatnonzero(stop(rows)).tolist() if stop is not None else []
+        ns, pts, e = _draw_configurations(rng, count, F.dim_in, budget.max_n, budget.domain_radius)
+        rows = _probe_draws(F, ns, pts, e)
+        ns = ns.tolist()
+
+        def rebuilt(k: int) -> ProbeResult:
+            ek = e[k, : ns[k]]
+            return jensen_probe(F, Configuration(pts[k, : ns[k]], ek / ek.sum()))
+
+        hits = np.flatnonzero(stop(rows)).tolist() if stop is not None else []
         logged = 0
         for k in hits:
             log.add_batch("config", ns, rows, logged, k + 1)
             logged = k + 1
-            yield jensen_probe(F, Configuration(*draws[k]))
+            yield rebuilt(k)
         log.add_batch("config", ns, rows, logged, count)
-        yield jensen_probe(F, Configuration(*draws[int(np.argmax(_candidate_ratios(rows)))]))
+        yield rebuilt(int(np.argmax(_candidate_ratios(rows))))
 
 
 def coordinate_search(
@@ -406,8 +423,7 @@ def _ascend(
         nonlocal best_c, hit
         rows = jensen_probe_batch(F, stack, np.broadcast_to(w.weights, stack.shape[:2]))
         c = _candidate_ratios(rows)
-        with np.errstate(over="ignore"):  # as in _config_results
-            stops = np.asarray(stop(rows), dtype=bool) if stop is not None else np.zeros(len(c), bool)
+        stops = np.asarray(stop(rows), dtype=bool) if stop is not None else np.zeros(len(c), bool)
         decisive = stops | (c > best_c)
         j = int(np.argmax(decisive)) if decisive.any() else len(c) - 1
         log.add_batch("ascent", [start.config.n] * len(c), rows, 0, j + 1)
@@ -435,21 +451,26 @@ def _search(
     """Shared two-point + random-config + ascent pipeline.
 
     Returns (best informative probe, first probe satisfying stop).
+
+    Overflow is ignored for the whole search, not for each probe: a stop
+    bound of a batch row overflowing to inf is sound, since no finite gap
+    exceeds it, and a probe whose own numbers overflow raises ValueError.
     """
     best: ProbeResult | None = None
     best_c = -math.inf  # _candidate_ratio(best), kept rather than recomputed per row
-    for phase in (_two_point_results(F, budget, log, stop), _config_results(F, budget, log, stop)):
-        for r in phase:
+    with np.errstate(over="ignore"):
+        for phase in (_two_point_results(F, budget, log, stop), _config_results(F, budget, log, stop)):
+            for r in phase:
+                if stop is not None and stop(r):
+                    return best, r
+                c = _candidate_ratio(r)
+                if best is None or c > best_c:
+                    best, best_c = r, c
+        if best is not None and best_c > -math.inf:
+            r = _ascend(F, best, budget.ascent_steps, budget.domain_radius, log, stop=stop)
             if stop is not None and stop(r):
                 return best, r
-            c = _candidate_ratio(r)
-            if best is None or c > best_c:
-                best, best_c = r, c
-    if best is not None and best_c > -math.inf:
-        r = _ascend(F, best, budget.ascent_steps, budget.domain_radius, log, stop=stop)
-        if stop is not None and stop(r):
-            return best, r
-        best = r  # the start itself when no trial beat it
+            best = r  # the start itself when no trial beat it
     return best, None
 
 

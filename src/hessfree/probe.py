@@ -74,6 +74,13 @@ class ProbeBatch(NamedTuple):
     point_scale: Vector
 
 
+def _overflow(F: VectorOracle):
+    """Raise the error of a probe whose gap, spread or value scale
+    overflowed: an inf gap reads as an unbounded ratio, and an inf value
+    scale makes every violation tolerance inf."""
+    raise ValueError(f"probe of oracle {F.label!r}: the gap, spread or value scale overflows at this scale")
+
+
 def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
     """Evaluate gap, spread and ratio for one configuration."""
     if c.dim != F.dim_in:
@@ -90,6 +97,8 @@ def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
     point_scale = float(np.sqrt(np.einsum("ij,ij->i", pts, pts).max()))
     vs = float(np.sqrt(np.einsum("...i,...i->...", values, values).max()))
     value_scale = max(vs, float(np.sqrt(center @ center)))
+    if not (math.isfinite(gap) and math.isfinite(spread) and math.isfinite(value_scale)):
+        _overflow(F)
     floor = scale_floor(SPREAD_FLOOR_COEFF, point_scale)
     ratio = 2.0 * gap / spread if spread > floor else None
     return ProbeResult(gap, spread, ratio, c, F.label, value_scale, point_scale)
@@ -138,6 +147,8 @@ def _probe_rows(F: VectorOracle, pts: np.ndarray, w: Matrix) -> ProbeBatch:
     point_scale = np.sqrt(np.einsum("bij,bij->bi", pts, pts).max(axis=1))
     vs = np.sqrt(np.einsum("...i,...i->...", values, values).max(axis=1))
     value_scale = np.maximum(vs, row_norms(center))
+    if not np.isfinite([gap, spread, value_scale]).all():
+        _overflow(F)
     ok = spread > scale_floor(SPREAD_FLOOR_COEFF, point_scale)
     ratio = np.full(len(pts), math.nan)
     ratio[ok] = 2.0 * gap[ok] / spread[ok]

@@ -333,6 +333,24 @@ class TestBadInput:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate"],
+        ["falsify", "--claimed-L", "1e200"],
+        ["verify", "--L", "1e200"],
+    ])
+    def test_probe_overflow_exits_2(self, argv, tmp_path, capsys):
+        # squared norms of values near 1e201 overflow: the certificate read
+        # inf, or the probe histogram failed on an inf range after numpy's
+        # overflow warnings (errors here, under filterwarnings = error)
+        out = tmp_path / "r.json"
+        argv = argv + ["--oracle", "cubic1d", "--params", "1e200", "--seed", "1", "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "hessfree: error: probe of oracle 'grad[cubic1d(1e+200)]': "
+            "the gap, spread or value scale overflows at this scale\n"
+        )
+        assert not out.exists()
+
     def test_no_informative_probe(self, tmp_path, capsys):
         # every probe of a 1e-12-wide domain is spread-degenerate
         out = tmp_path / "r.json"
@@ -544,3 +562,25 @@ class TestDeterminism:
         sa = json.dumps(a, indent=2, sort_keys=True)
         sb = json.dumps(b, indent=2, sort_keys=True)
         assert sa.encode() == sb.encode()
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_same_report_around_a_rejected_flag(self, tmp_path, capsys):
+        argv = ["falsify", "--oracle", "separable_cubic", "--params", "3", "1",
+                "--claimed-L", "2.5", "--seed", "7", "--csv", str(tmp_path / "p.csv")] + FAST
+        reports = []
+        for k in range(2):
+            out = tmp_path / f"{k}.json"
+            assert run(argv + ["--out", str(out)]) == 1
+            reports.append(load(out))
+            with pytest.raises(SystemExit) as exc:
+                run(["falsify", "--oracle", "poly_map_2d", "--no-such-flag", "3"])
+            assert exc.value.code == 2
+            assert "--no-such-flag" in capsys.readouterr().err
+        for rep in reports:
+            rep.pop("wall_time_s")
+            rep["config"].pop("out")
+        assert reports[0] == reports[1]

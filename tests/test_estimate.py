@@ -19,6 +19,7 @@ from hessfree.estimate import (
     _ascend,
     _batches,
     _candidate_ratio,
+    _draw_configurations,
     coordinate_search,
     cross_validate,
     estimate_L,
@@ -167,7 +168,7 @@ class TestPinnedCertificates:
         ("cubic1d", 1.0000000000022082),
         ("sc2", 2.999999999998718),
         ("poly_map_2d", 1.99999999999961),
-        ("sc8", 2.9999154763693276),
+        ("sc8", 2.999946788813163),
     ])
     def test_default_budget_l_lower(self, key, l_lower):
         assert estimate_L(builtin(*ZOO[key]), SearchBudget(seed=42)).l_lower == l_lower
@@ -295,12 +296,15 @@ class TestProbeLog:
 
 def _reference_configs(F, budget):
     """The random-configuration phase one configuration at a time, in
-    stream order."""
+    stream order: each batch drawn whole by the draw rule, then jensen_probe
+    on each of its rows."""
     for b, count in _batches(budget.random_configs):
         rng = stream_rng(budget.seed, STREAM_CONFIGS, b)
-        for _ in range(count):
-            c = sample_configuration(rng, F.dim_in, budget.max_n, budget.domain_radius)
-            yield jensen_probe(F, c)
+        ns = rng.integers(2, budget.max_n + 1, size=count)
+        pts = rng.standard_normal((count, budget.max_n, F.dim_in)) * (budget.domain_radius / math.sqrt(F.dim_in))
+        e = rng.standard_exponential((count, budget.max_n))
+        for k, n in enumerate(ns):
+            yield jensen_probe(F, Configuration(pts[k, :n], e[k, :n] / e[k, :n].sum()))
 
 
 def _same_probe(a, b):
@@ -394,16 +398,16 @@ class TestTwoPointCount:
 
 
 class TestConfigStreamOrder:
-    """The batched configuration phase against sample_configuration +
-    jensen_probe one configuration at a time."""
+    """The batched configuration phase against jensen_probe on each row of
+    the batch draw, one configuration at a time."""
 
     BUDGET = SearchBudget(two_point_pairs=0, random_configs=1100, ascent_steps=0, seed=9)
 
     @pytest.mark.parametrize("target", [37, 511, 600, 1023, 1099],
                              ids=["in_batch0", "batch0_last", "in_batch1", "batch1_last", "final_last"])
     def test_falsify_first_hit(self, target):
-        ref = list(_reference_configs(builtin("affine"), self.BUDGET))
-        F = _bump_oracle(ref[target].config.points[0])
+        c = list(_reference_configs(builtin("affine"), self.BUDGET))[target].config
+        F = _bump_oracle(c.points[np.argmax(c.weights.weights)])  # the bump under the heaviest point
         expected = next(i for i, r in enumerate(_reference_configs(F, self.BUDGET)) if violates(r, 1.0))
         assert expected == target
         log = ProbeLog(collect=True)
@@ -426,6 +430,67 @@ class TestConfigStreamOrder:
         assert _same_probe(cert.witness, best)
         assert log.rows == [("config", (r.config.n, r.gap, r.spread, r.ratio)) for r in ref]
         assert cert.l_lower == best.ratio and cert.probes_used == self.BUDGET.random_configs
+
+
+class _CountingRng:
+    """A generator that records the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestConfigDrawRule:
+    def test_three_generator_calls_per_batch(self, monkeypatch):
+        calls = {}
+        real = estimate.stream_rng
+
+        def counting(seed, stream, batch=0):
+            return _CountingRng(real(seed, stream, batch), calls.setdefault((stream, batch), []))
+
+        monkeypatch.setattr(estimate, "stream_rng", counting)
+        budget = SearchBudget(two_point_pairs=0, random_configs=1100, ascent_steps=0, seed=3)
+        estimate_L(builtin(*ZOO["sc2"]), budget)
+        assert calls == {(STREAM_CONFIGS, b): ["integers", "standard_normal", "standard_exponential"]
+                         for b in range(3)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("max_n", [2, 4, 10])
+    def test_sample_configuration_is_row_0_of_a_batch(self, dim, max_n):
+        for seed in range(40):
+            c = sample_configuration(np.random.default_rng(seed), dim, max_n, 5.0)
+            ns, pts, e = _draw_configurations(np.random.default_rng(seed), 1, dim, max_n, 5.0)
+            n = ns[0]
+            assert c.n == n
+            np.testing.assert_array_equal(c.points, pts[0, :n])
+            np.testing.assert_array_equal(c.weights.weights, SimplexWeights(e[0, :n] / e[0, :n].sum()).weights)
+
+
+class TestOverflow:
+    """Values whose squared norms overflow raise instead of certifying inf."""
+
+    def test_estimate_and_falsify_raise(self):
+        o = builtin("cubic1d", [1e200])
+        with pytest.raises(ValueError, match="overflows"):
+            estimate_L(o, SearchBudget(seed=1))
+        with pytest.raises(ValueError, match="overflows"):
+            falsify(o, 1e200, SearchBudget(seed=1))
+        # a probe outside a search raises too, after numpy's own warning
+        with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
+            jensen_probe(as_vector_oracle(o), Configuration(np.array([[-5.0], [5.0]]), SimplexWeights([0.5, 0.5])))
+
+    def test_large_but_finite_still_certifies(self):
+        o = builtin("cubic1d", [1e150])
+        cert = estimate_L(o, SearchBudget(seed=1))
+        assert 0.99 * o.known_L <= cert.l_lower <= o.known_L * (1.0 + 1e-8)
 
 
 class TestWorkingSet:

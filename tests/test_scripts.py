@@ -83,6 +83,62 @@ class TestReportDiff:
         assert diffs[2].startswith("poly_map_2d-5-verify_half: results.cocoercivity.witnesses.0.residual: -")
 
 
+def _plant_runs(mod, tmp_path, monkeypatch, plant):
+    """main with run_tree replaced by one that writes a report and the
+    expected exit for each poly_map_2d seed-5 run; plant(label, runs,
+    reports) then edits them for each tree."""
+
+    def fake_run_tree(src, out, cases, seeds, extra):
+        out.mkdir(parents=True)
+        keys = [f"poly_map_2d-5-{run}" for run in mod.RUNS]
+        runs = {k: {"exit": mod.expected_exit("poly_map_2d", k.split("-")[2]), "stderr": ""} for k in keys}
+        reports = {k: {"results": {"x": 1.0, "y": [2.0]}, "wall_time_s": 0.1} for k in keys}
+        plant(out.name, runs, reports)
+        for k, rep in reports.items():
+            (out / f"{k}.json").write_text(json.dumps(rep))
+        (out / "runs.json").write_text(json.dumps(runs))
+
+    monkeypatch.setattr(mod, "run_tree", fake_run_tree)
+    return mod.main(["a", "b", "--oracles", "poly_map_2d", "--seeds", "5", "--work", str(tmp_path)])
+
+
+class TestReportDiffExits:
+    def test_expected_exits(self):
+        mod = _load("report_diff")
+        assert [mod.expected_exit("sc8", run) for run in mod.RUNS] == [0, 1, 0, 1, 0]
+        assert [mod.expected_exit("quadratic8", run) for run in mod.RUNS] == [0, 0, 0, 0, 0]
+        assert mod.expected_exit("rosenbrock", "estimate") is None
+
+    def test_shared_failure_flagged(self, tmp_path, monkeypatch, capsys):
+        mod = _load("report_diff")
+
+        def plant(label, runs, reports):
+            runs["poly_map_2d-5-slices"] = {"exit": 1, "stderr": ""}
+
+        assert _plant_runs(mod, tmp_path, monkeypatch, plant) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "old poly_map_2d-5-slices: exit 1, expected 0; stderr ''",
+            "new poly_map_2d-5-slices: exit 1, expected 0; stderr ''",
+            "5 runs per tree, 0 differences, 2 off their expected exit",
+        ]
+
+    def test_exit_change_lists_moved_fields(self, tmp_path, monkeypatch, capsys):
+        mod = _load("report_diff")
+
+        def plant(label, runs, reports):
+            if label == "new":
+                runs["poly_map_2d-5-falsify"] = {"exit": 0, "stderr": ""}
+                reports["poly_map_2d-5-falsify"]["results"]["y"] = [3.0]
+
+        assert _plant_runs(mod, tmp_path, monkeypatch, plant) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "poly_map_2d-5-falsify: run {'exit': 1, 'stderr': ''} -> {'exit': 0, 'stderr': ''}",
+            "poly_map_2d-5-falsify: results.y.0: 2.0 -> 3.0",
+            "new poly_map_2d-5-falsify: exit 0, expected 1; stderr ''",
+            "5 runs per tree, 2 differences, 1 off their expected exit",
+        ]
+
+
 class TestRssByDim:
     def test_smoke(self, capsys):
         tiny = ["--budget-configs", "20", "--budget-pairs", "8", "--budget-ascent", "10",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -479,9 +478,7 @@ _COMMANDS = {
 }
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="hessfree",
         description="Estimate, falsify and verify Hessian-Lipschitz constants "

@@ -247,9 +247,14 @@ def _draw_configurations(
     generator calls: the point counts ns (count,), a (count, max_n, dim)
     Gaussian block at RMS radius, then (count, max_n) unit-rate
     exponentials.  Configuration k is the first ns[k] points and
-    exponentials of row k, the exponentials divided by their sum."""
+    exponentials of row k, the exponentials divided by their sum.  The
+    rows past ns[k] are drawn and dropped, about (max_n - 2) / (2 max_n)
+    of the block (a quarter at max_n = 4, near half for a large max_n),
+    and the block lies outside chunk_rows' budget: count * max_n * dim
+    floats, 16 MB at the default 512 rows, max_n = 4 and d = 1024."""
     ns = rng.integers(2, max_n + 1, size=count)
-    pts = rng.standard_normal((count, max_n, dim)) * (radius / math.sqrt(dim))
+    pts = rng.standard_normal((count, max_n, dim))
+    pts *= radius / math.sqrt(dim)  # in place: the block is the batch's largest array
     return ns, pts, rng.standard_exponential((count, max_n))
 
 
@@ -355,6 +360,7 @@ def _config_results(
             yield rebuilt(k)
         log.add_batch("config", ns, rows, logged, count)
         yield rebuilt(int(np.argmax(_candidate_ratios(rows))))
+        del pts  # else it lives on while the next batch's block is drawn
 
 
 def coordinate_search(
@@ -455,6 +461,9 @@ def _search(
     Overflow is ignored for the whole search, not for each probe: a stop
     bound of a batch row overflowing to inf is sound, since no finite gap
     exceeds it, and a probe whose own numbers overflow raises ValueError.
+    That covers F's evaluations too: an oracle whose own arithmetic
+    overflows gives no warning inside a search, and it raises only when
+    a value, or a squared norm of one, is not finite.
     """
     best: ProbeResult | None = None
     best_c = -math.inf  # _candidate_ratio(best), kept rather than recomputed per row

@@ -130,26 +130,15 @@ def _renormalized(w: Vector, s: float) -> Vector:
 
 def simplex_rows(w: Matrix) -> Matrix:
     """Each row of w (B, n) as SimplexWeights would store it, bit for bit:
-    _renormalized's steps run as array passes over the rows still looping,
-    each row summed as the 1-D w.sum() sums it, and a rejection names the
-    first row _renormalized would reject."""
+    the entry checks and the row sums run on the whole stack, and only
+    rows whose sum is not exactly 1 go through _renormalized."""
     w = np.array(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 1:
         raise ValueError("weights must be a (B, n) stack with n >= 1")
     _check_entries(w)
-    s = w.sum(axis=1)
-    off = np.flatnonzero(np.abs(s - 1.0) > WEIGHT_SUM_SLACK)
-    if off.size:
-        _renormalized(w[off[0]], float(s[off[0]]))  # raises, naming that row's sum
-    rows = np.flatnonzero(s != 1.0)
-    while rows.size:
-        scaled = w[rows] / s[rows, None]
-        s_scaled = scaled.sum(axis=1)
-        # the rows _renormalized's loop does not break out of
-        go = (s_scaled == 1.0) | (np.abs(s[rows] - 1.0) > 2.0 * w.shape[1] * _EPS)
-        rows, s_scaled = rows[go], s_scaled[go]
-        w[rows], s[rows] = scaled[go], s_scaled
-        rows = rows[s_scaled != 1.0]
+    sums = w.sum(axis=1)  # each row summed as the 1-D w.sum() sums it
+    for i in np.flatnonzero(sums != 1.0).tolist():
+        w[i] = _renormalized(w[i], float(sums[i]))
     return w
 
 

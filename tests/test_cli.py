@@ -562,25 +562,3 @@ class TestDeterminism:
         sa = json.dumps(a, indent=2, sort_keys=True)
         sb = json.dumps(b, indent=2, sort_keys=True)
         assert sa.encode() == sb.encode()
-
-
-class TestParserCache:
-    def test_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
-
-    def test_same_report_around_a_rejected_flag(self, tmp_path, capsys):
-        argv = ["falsify", "--oracle", "separable_cubic", "--params", "3", "1",
-                "--claimed-L", "2.5", "--seed", "7", "--csv", str(tmp_path / "p.csv")] + FAST
-        reports = []
-        for k in range(2):
-            out = tmp_path / f"{k}.json"
-            assert run(argv + ["--out", str(out)]) == 1
-            reports.append(load(out))
-            with pytest.raises(SystemExit) as exc:
-                run(["falsify", "--oracle", "poly_map_2d", "--no-such-flag", "3"])
-            assert exc.value.code == 2
-            assert "--no-such-flag" in capsys.readouterr().err
-        for rep in reports:
-            rep.pop("wall_time_s")
-            rep["config"].pop("out")
-        assert reports[0] == reports[1]

@@ -24,10 +24,14 @@ buffered half word from one call to the next.  The batch is then probed
 as arrays by jensen_probe_batch, one call per point count n, and so is
 each stack of ascent trials that coordinate_search builds from the rest
 of a sweep.
-A batch of two-point pairs is scanned over t in lockstep, and without a
-stop (estimate_L) its winners are probed as arrays too; falsify still
-replays each winner through two_point_probe (ROADMAP item 1).  Only the
-rows the search acts on become ProbeResults, each re-evaluated through
+Without a stop (estimate_L) the two-point phase is midpoint first:
+every pair of a batch is probed at t = 1/2 as one array, and only each
+batch's _REFINE best rows are scanned over t, the refined pairs of all
+batches in one best_t_scan call after the last batch.  For a quadratic
+map the ratio is the same at every t, so the scan only matters off that
+case.  falsify still scans every pair over t in lockstep and replays
+each winner through two_point_probe (ROADMAP item 1).  Only the rows the
+search acts on become ProbeResults, each re-evaluated through
 jensen_probe: the first violating row when falsifying, then the batch's
 best candidate, or the ascent's stop hit or final best.  Every witness
 is therefore a jensen_probe result and replays bit for bit.
@@ -281,21 +285,35 @@ def _batches(total: int) -> Iterator[tuple[int, int]]:
         yield b, min(_BATCH, total - start)
 
 
-# t values one pair's best_t_scan evaluates: 31 grid + 2 + 20 golden
+# t values best_t_scan evaluates per pair, 31 grid + 2 + 20 golden: what a
+# refined pair adds to its midpoint probe, and a pair of falsify counts
 _T_PROBES_PER_PAIR = (_T_GRID - 1) + 2 + _GOLDEN_ITERS
+# rows of each two-point batch that estimate_L scans over t
+_REFINE = 8
 
 
 def _two_point_results(
     F: VectorOracle, budget: SearchBudget, log: ProbeLog, stop: Callable[[ProbeResult], bool] | None
 ) -> Iterator[ProbeResult]:
-    """Each batch's pairs are scanned over t in lockstep by best_t_scan.
-    Without a stop, the winners are probed as one (B, 2, d) batch and only
-    the batch's first row of best candidate ratio is yielded, rebuilt
-    through jensen_probe; a search with a stop replays and yields every
-    pair through best_t_probe (batching it waits on ROADMAP item 1).
-    Either way each pair logs one row, its winner, and counts
-    _T_PROBES_PER_PAIR probes."""
+    """Without a stop the phase is midpoint first.  Each batch's pairs are
+    probed at t = 1/2 in one jensen_probe_batch call, and its _REFINE best
+    rows by candidate ratio (ties to stream order) are refined: after the
+    last batch, one best_t_scan call finds every refined pair's t and one
+    jensen_probe_batch call probes them there, replacing their midpoint
+    rows.  Then each batch in turn logs one row a pair and yields its first
+    row of best candidate ratio, rebuilt through jensen_probe.  A pair
+    counts its midpoint probe and a refined pair adds its scan's
+    _T_PROBES_PER_PAIR: 4 000 + 64 * 53 at the default 4 000 pairs.  Only
+    the refined pairs' points and the batches' rows (5 doubles a pair) are
+    kept, so at most one batch's (count, 2, d) block is alive; a batch whose
+    best row was not refined is drawn again to rebuild it.
+
+    With a stop, each batch's pairs are scanned over t in lockstep by
+    best_t_probe, and every pair's winner is logged, counted as
+    _T_PROBES_PER_PAIR probes and yielded (batching it waits on ROADMAP
+    item 1)."""
     scale = budget.domain_radius / math.sqrt(F.dim_in)
+    rows, kept = [], []
     for b, count in _batches(budget.two_point_pairs):
         rng = stream_rng(budget.seed, STREAM_PAIRS, b)
         # x then y for each pair, in the generator's draw order
@@ -307,14 +325,34 @@ def _two_point_results(
                 log.add("two_point", r)
                 yield r
             continue
-        ts = best_t_scan(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
-        # the weights two_point_probe gives each pair's winning t
-        w = np.stack([1.0 - ts, ts], axis=1)
-        rows = jensen_probe_batch(F, xy, simplex_rows(w))
-        log.count += (_T_PROBES_PER_PAIR - 1) * count
-        log.add_batch("two_point", [2] * count, rows, 0, count)
-        k = int(np.argmax(_candidate_ratios(rows)))
-        yield jensen_probe(F, Configuration(xy[k], SimplexWeights(w[k])))
+        mid = jensen_probe_batch(F, xy, np.full((count, 2), 0.5))
+        # sorted, not np.argsort, whose first call adds about 0.3 MB of sort code to the RSS
+        c = _candidate_ratios(mid).tolist()
+        top = sorted(range(count), key=c.__getitem__, reverse=True)[:_REFINE]
+        rows.append((b, count, mid, top))
+        kept.append(xy[top])
+        del xy  # else it lives on while the next batch's block is drawn
+    if not rows:
+        return
+    pts = np.concatenate(kept)
+    ts = best_t_scan(F, pts[:, 0], pts[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+    # the weights two_point_probe gives each pair's winning t
+    w = np.stack([1.0 - ts, ts], axis=1)
+    scanned = jensen_probe_batch(F, pts, simplex_rows(w))
+    start = 0
+    for b, count, mid, top in rows:
+        for col, new in zip(mid, scanned):
+            col[top] = new[start : start + len(top)]
+        log.count += _T_PROBES_PER_PAIR * len(top)
+        log.add_batch("two_point", [2] * count, mid, 0, count)
+        k = int(np.argmax(_candidate_ratios(mid)))
+        if k in top:
+            j = start + top.index(k)
+            yield jensen_probe(F, Configuration(pts[j], SimplexWeights(w[j])))
+        else:  # the batch drawn again, as the loop above draws it
+            xy = stream_rng(budget.seed, STREAM_PAIRS, b).standard_normal((count, 2, F.dim_in)) * scale
+            yield jensen_probe(F, Configuration(xy[k], SimplexWeights([0.5, 0.5])))
+        start += len(top)
 
 
 def _probe_draws(F: VectorOracle, ns: np.ndarray, pts: np.ndarray, e: Matrix) -> ProbeBatch:
@@ -540,8 +578,12 @@ def falsify(
 
 
 def replay(witness: ProbeResult, F: VectorOracle | ScalarOracle) -> ProbeResult:
-    """Re-evaluate a certificate's witness configuration."""
-    return jensen_probe(as_vector_oracle(F), witness.config)
+    """Re-evaluate a certificate's witness configuration.
+
+    Overflow is ignored as in a search, so a witness whose numbers
+    overflow raises jensen_probe's ValueError and no numpy warning."""
+    with np.errstate(over="ignore"):
+        return jensen_probe(as_vector_oracle(F), witness.config)
 
 
 CV_TOL = 5e-2

@@ -82,7 +82,12 @@ def _overflow(F: VectorOracle):
 
 
 def jensen_probe(F: VectorOracle, c: Configuration) -> ProbeResult:
-    """Evaluate gap, spread and ratio for one configuration."""
+    """Evaluate gap, spread and ratio for one configuration.
+
+    A probe whose gap, spread or value scale overflows raises ValueError.
+    Called directly, it lets numpy's overflow warning out first.  The
+    searches and replay call it under np.errstate(over="ignore"); entering
+    that here would cost every probe of falsify's per-pair replay."""
     if c.dim != F.dim_in:
         raise ValueError(f"configuration dim {c.dim} != oracle dim_in {F.dim_in}")
     pts = c.points
@@ -256,9 +261,9 @@ def best_t_probe(
 
     x and y are one pair of points (d,), returning one result, or stacks
     (B, d) of B pairs, returning B results, each what probing that pair
-    alone returns.  The replay is one oracle call per pair; estimate_L
-    probes a batch's winners as arrays instead, and falsify replays each
-    pair until ROADMAP item 1.
+    alone returns.  The replay is one oracle call per pair.  Only falsify
+    still scans and replays every pair, until ROADMAP item 1; estimate_L
+    probes its pairs at t = 1/2 and scans only each batch's best few.
     """
     single = np.ndim(x) <= 1
     x, y = np.atleast_2d(x, y)

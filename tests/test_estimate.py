@@ -30,7 +30,7 @@ from hessfree.estimate import (
     violates,
 )
 from hessfree.oracles import DomainSampler, ScalarOracle, VectorOracle, as_vector_oracle, builtin, lip_from_hessians
-from hessfree.probe import ProbeBatch, best_t_probe, jensen_probe
+from hessfree.probe import ProbeBatch, ProbeResult, best_t_probe, jensen_probe, two_point_probe
 from hessfree.vecspace import Configuration, SimplexWeights
 
 ZOO = {
@@ -165,7 +165,7 @@ class TestPinnedCertificates:
     """Certificates at the default budget and seed 42, pinned to the bit."""
 
     @pytest.mark.parametrize("key, l_lower", [
-        ("cubic1d", 1.0000000000022082),
+        ("cubic1d", 1.0000000000021751),
         ("sc2", 2.999999999998718),
         ("poly_map_2d", 1.99999999999961),
         ("sc8", 2.999946788813163),
@@ -328,45 +328,63 @@ def _bump_oracle(centre):
 
 
 def _reference_two_point(F, budget):
-    """The two-point phase as each pair's best_t_probe replay, in stream
-    order: every pair's winner as a ProbeResult."""
+    """The midpoint-first two-point phase one pair at a time, in stream
+    order: every pair's two_point_probe at t = 1/2, then the 8 best of each
+    batch by candidate ratio (ties to stream order) replaced by their own
+    best_t_probe.  Returns each pair's row and the refined pairs' indices."""
     scale = budget.domain_radius / math.sqrt(F.dim_in)
+    rows, refined = [], []
     for b, count in _batches(budget.two_point_pairs):
         xy = stream_rng(budget.seed, STREAM_PAIRS, b).standard_normal((count, 2, F.dim_in)) * scale
-        yield from best_t_probe(F, xy[:, 0], xy[:, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+        mid = [two_point_probe(F, x, y, 0.5) for x, y in xy]
+        top = sorted(range(count), key=lambda k: -_candidate_ratio(mid[k]))[:8]
+        for k in top:
+            mid[k] = best_t_probe(F, xy[k, 0], xy[k, 1], min_spread_coeff=INFORMATIVE_SPREAD_COEFF)
+        refined += [len(rows) + k for k in top]
+        rows += mid
+    return rows, refined
+
+
+def _first_best(rows):
+    best = None
+    for r in rows:
+        if best is None or _candidate_ratio(r) > _candidate_ratio(best):
+            best = r
+    return best
+
+
+def _oracle(name):
+    # the zero map ties every ratio at 0: the first rows must win
+    if name == "zero":
+        return builtin("affine", [0.0, 0.0])
+    return builtin(*ZOO[name]) if name in ZOO else builtin(name)
 
 
 class TestTwoPointStreamOrder:
-    """The batched two-point phase of estimate_L against the per-pair
-    replay; 700 pairs end inside the second batch."""
+    """The batched two-point phase of estimate_L against the rule run one
+    pair at a time; 700 pairs end inside the second batch."""
 
     BUDGET = SearchBudget(two_point_pairs=700, random_configs=0, ascent_steps=0, seed=9)
 
     @pytest.mark.parametrize("name", [*ZOO, "affine", "quadratic", "zero"])
     def test_estimate_matches_per_pair_replay(self, name):
-        # the zero map ties every ratio at 0: the first row must win
-        if name == "zero":
-            o = builtin("affine", [0.0, 0.0])
-        else:
-            o = builtin(*ZOO[name]) if name in ZOO else builtin(name)
-        ref = list(_reference_two_point(as_vector_oracle(o), self.BUDGET))
-        best = None
-        for r in ref:
-            if best is None or _candidate_ratio(r) > _candidate_ratio(best):
-                best = r
+        o = _oracle(name)
+        ref, _ = _reference_two_point(as_vector_oracle(o), self.BUDGET)
+        best = _first_best(ref)
         log = ProbeLog(collect=True)
         cert = estimate_L(o, self.BUDGET, log=log)
         assert _same_probe(cert.witness, best)
         assert _same_probe(replay(cert.witness, o), best)
         assert log.rows == [("two_point", (2, r.gap, r.spread, r.ratio)) for r in ref]
         assert cert.l_lower == best.ratio
-        assert cert.probes_used == log.count == 700 * _T_PROBES_PER_PAIR
+        assert cert.probes_used == log.count == 700 + 16 * _T_PROBES_PER_PAIR
 
     def test_one_batch_oracle_cost(self):
-        # the scan's 31 calls (F(x) and F(y), 8 grid chunks of 64 pairs,
-        # 22 golden steps), one jensen_probe_batch chunk's 2, and the
-        # rebuilt best's 2: 58 points per pair plus 3.  Replaying each
-        # pair took 1 055 calls for 29 696 points.
+        # the midpoint chunk's 2 calls (1 024 + 512 points), the scan of
+        # the 8 refined pairs in 24 (F(x) and F(y), one grid call of 8 x 31
+        # points, 22 golden steps of 8), one jensen_probe_batch chunk's 2
+        # for their winners (16 + 8) and the rebuilt best's 2 (3): 2 003
+        # points.  Scanning every pair took 35 calls for 29 699 points.
         F0 = as_vector_oracle(builtin(*ZOO["cubic1d"]))
         points = []
 
@@ -376,8 +394,77 @@ class TestTwoPointStreamOrder:
 
         F = VectorOracle(F0.dim_in, F0.dim_out, count, "counting")
         estimate_L(F, SearchBudget(two_point_pairs=512, random_configs=0, ascent_steps=0, seed=3))
-        assert (len(points), sum(points)) == (35, 29_699)
-        assert sum(points) == 512 * (2 + _T_PROBES_PER_PAIR + 3) + 3
+        assert (len(points), sum(points)) == (30, 2_003)
+        assert sum(points) == 512 * 3 + 8 * (2 + _T_PROBES_PER_PAIR + 3) + 3
+
+
+def _counting_scan(monkeypatch):
+    """Replace estimate.best_t_scan by a wrapper recording the pair count
+    of each call."""
+    calls = []
+    real = estimate.best_t_scan
+
+    def counted(F, x, y, min_spread_coeff=0.0):
+        calls.append(len(x))
+        return real(F, x, y, min_spread_coeff)
+
+    monkeypatch.setattr(estimate, "best_t_scan", counted)
+    return calls
+
+
+class TestMidpointFirst:
+    """Every pair probed at t = 1/2; each batch's 8 best rows refined, the
+    refined pairs of every batch in one best_t_scan call."""
+
+    def test_one_scan_per_search(self, monkeypatch):
+        calls = _counting_scan(monkeypatch)
+        estimate_L(builtin(*ZOO["sc2"]), SearchBudget(random_configs=100, ascent_steps=50, seed=4))
+        assert calls == [64]
+
+    @pytest.mark.parametrize("pairs", [1, 7, 8, 9, 512, 513, 700])
+    @pytest.mark.parametrize("name", ["cubic1d", "sc8", "zero"])
+    def test_rows_and_witness(self, pairs, name, monkeypatch):
+        calls = _counting_scan(monkeypatch)
+        o = _oracle(name)
+        budget = SearchBudget(two_point_pairs=pairs, random_configs=0, ascent_steps=0, seed=11)
+        ref, refined = _reference_two_point(as_vector_oracle(o), budget)
+        log = ProbeLog(collect=True)
+        cert = estimate_L(o, budget, log=log)
+        assert log.rows == [("two_point", (2, r.gap, r.spread, r.ratio)) for r in ref]
+        assert all(ref[k].config.weights.weights.tolist() == [0.5, 0.5]
+                   for k in range(pairs) if k not in refined)
+        assert _same_probe(cert.witness, _first_best(ref))
+        assert calls == [len(refined)] and len(refined) == sum(min(8, c) for _, c in _batches(pairs))
+        assert cert.probes_used == log.count == pairs + len(refined) * _T_PROBES_PER_PAIR
+
+    def test_unrefined_best_is_redrawn(self, monkeypatch):
+        # a scan that puts every refined pair at t = 0 leaves them no
+        # spread, so each batch's best is its best unrefined midpoint row,
+        # rebuilt from the batch drawn again
+        monkeypatch.setattr(estimate, "best_t_scan", lambda F, x, y, min_spread_coeff: np.zeros(len(x)))
+        F = as_vector_oracle(builtin(*ZOO["sc8"]))
+        budget = SearchBudget(two_point_pairs=600, random_configs=0, ascent_steps=0, seed=2)
+        scale = budget.domain_radius / math.sqrt(F.dim_in)
+        mids = []
+        for b, count in _batches(budget.two_point_pairs):
+            xy = stream_rng(budget.seed, STREAM_PAIRS, b).standard_normal((count, 2, F.dim_in)) * scale
+            mid = [two_point_probe(F, x, y, 0.5) for x, y in xy]
+            top = sorted(range(count), key=lambda k: -_candidate_ratio(mid[k]))[:8]
+            mids += [r for k, r in enumerate(mid) if k not in top]
+        cert = estimate_L(F, budget)
+        assert _same_probe(cert.witness, _first_best(mids))
+        assert _same_probe(replay(cert.witness, F), cert.witness)
+
+    def test_no_pairs_runs_the_config_phase_alone(self, monkeypatch):
+        calls = _counting_scan(monkeypatch)
+        budget = SearchBudget(two_point_pairs=0, random_configs=600, ascent_steps=0, seed=9)
+        o = builtin(*ZOO["sc2"])
+        log = ProbeLog(collect=True)
+        cert = estimate_L(o, budget, log=log)
+        ref = list(_reference_configs(as_vector_oracle(o), budget))
+        assert calls == []
+        assert log.rows == [("config", (r.config.n, r.gap, r.spread, r.ratio)) for r in ref]
+        assert _same_probe(cert.witness, _first_best(ref))
 
 
 class TestTwoPointCount:
@@ -486,6 +573,14 @@ class TestOverflow:
         # a probe outside a search raises too, after numpy's own warning
         with pytest.raises(ValueError, match="overflows"), np.errstate(over="ignore"):
             jensen_probe(as_vector_oracle(o), Configuration(np.array([[-5.0], [5.0]]), SimplexWeights([0.5, 0.5])))
+
+    def test_replay_raises_without_warning(self):
+        # filterwarnings = error turns numpy's overflow warning into the
+        # exception, so this fails if the warning comes out first
+        o = builtin("cubic1d", [1e200])
+        c = Configuration(np.array([[-5.0], [5.0]]), SimplexWeights([0.5, 0.5]))
+        with pytest.raises(ValueError, match="overflows"):
+            replay(ProbeResult(0.0, 0.0, None, c, o.label, 0.0, 0.0), o)
 
     def test_large_but_finite_still_certifies(self):
         o = builtin("cubic1d", [1e150])

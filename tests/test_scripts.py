@@ -150,3 +150,24 @@ class TestRssByDim:
         assert [(r[0], r[1], r[2]) for r in rows] == [
             (c, d, "0") for c in ("estimate", "verify", "slices") for d in ("2", "3")]
         assert all(float(r[3]) > 1.0 and float(r[4]) >= 0.0 for r in rows)
+
+
+class TestAbOps:
+    def test_tree_against_itself(self, monkeypatch, capsys):
+        mod = _load("ab_ops")
+        started = []
+        real = mod.subprocess.Popen
+
+        def popen(argv, **kw):
+            started.append(argv)
+            return real(argv, **kw)
+
+        monkeypatch.setattr(mod.subprocess, "Popen", popen)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        tiny = ["--budget-configs", "16", "--budget-pairs", "16", "--budget-ascent", "8", "--fd-pairs", "16"]
+        assert mod.main([src, src, "--rounds", "2", "--seed", "3", "--", *tiny]) == 0
+        assert len(started) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "2 workers, certify, 2 rounds of 4 ops, seed 3"
+        assert out[1].startswith("cpu new/old per round: median ") and out[1].endswith(" of 2")
+        assert out[-1].startswith("peak rss after 8 ops: old ")

@@ -13,12 +13,16 @@ seeds (`harness.op_seed(seed, round, index)`); both run each op back to
 back, the old tree first in even rounds and the new one first in odd
 rounds, so a swing in machine speed falls on both.  Each op is timed by
 `time.process_time` in its worker, around the harness's `Runner.run`,
-which runs the CLI and checks the report; no report is kept.
+which runs the CLI and checks the report.  After the timed window the
+worker hashes the parsed report, leaving out the fields
+`scripts/report_diff.py` ignores (`wall_time_s` and the output paths);
+no report is kept.
 
 Printed: the new/old ratio of each round's CPU time, its median and
 quartiles and the rounds the new tree took less CPU in; each op's median
-CPU time on both trees; and each worker's peak RSS after the same number
-of ops.  Flags after `--` go to every op, for example smaller budgets.
+CPU time on both trees; in how many ops both trees returned the same
+report, with the label and seed of each op where they did not; and each
+worker's peak RSS after the same number of ops.  Flags after `--` go to every op, for example smaller budgets.
 The exit status is 1 when an op failed its checks on either tree, and 0
 otherwise.
 """
@@ -26,6 +30,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import statistics
@@ -36,6 +41,21 @@ import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def report_digest(report: dict | None) -> str | None:
+    """sha256 of a parsed report without the fields report_diff ignores."""
+    if report is None:
+        return None
+    from report_diff import IGNORED
+
+    for *parent, key in IGNORED:
+        node = report
+        for k in parent:
+            node = node.get(k) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node.pop(key, None)
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 def worker(src: str, workload: str, out: str, seed: str, extra: list[str]) -> None:
@@ -57,8 +77,8 @@ def worker(src: str, workload: str, out: str, seed: str, extra: list[str]) -> No
         outcome = runner.run(ops[index], op_seed)
         cpu = time.process_time() - t0
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps({"seed": op_seed, "cpu_s": cpu, "rss_mb": rss, "problems": outcome.problems}),
-              flush=True)
+        print(json.dumps({"seed": op_seed, "cpu_s": cpu, "rss_mb": rss, "problems": outcome.problems,
+                          "report": report_digest(outcome.report)}), flush=True)
 
 
 class Worker:
@@ -107,18 +127,22 @@ def main(argv: list[str] | None = None) -> int:
                 workers.append(Worker(src, args.workload, out, args.seed, extra))
             labels = workers[0].labels
             cpu = {label: ([], []) for label in labels}
-            ratios, failed, rss = [], 0, [0.0, 0.0]
+            ratios, failed, rss, differ = [], 0, [0.0, 0.0], []
             for rnd in range(args.rounds):
                 total = [0.0, 0.0]
                 for i, label in enumerate(labels):
+                    digests = [None, None]
                     for side in (0, 1) if rnd % 2 == 0 else (1, 0):
                         res = workers[side].run(rnd, i)
+                        digests[side] = res["report"]
                         total[side] += res["cpu_s"]
                         cpu[label][side].append(res["cpu_s"])
                         rss[side] = res["rss_mb"]
                         if res["problems"]:
                             failed += 1
                             print(f"{('old', 'new')[side]} {label} seed {res['seed']}: {res['problems']}")
+                    if digests[0] != digests[1]:
+                        differ.append(f"{label} seed {res['seed']}")
                 ratios.append(total[1] / total[0])
         finally:
             for w in workers:
@@ -129,7 +153,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"cpu new/old per round: median {med:.3f} [{q1:.3f}, {q3:.3f}], new faster in {wins} of {len(ratios)}")
     for label, (old, new) in cpu.items():
         print(f"  {label}: old {statistics.median(old):.4f} s, new {statistics.median(new):.4f} s")
-    print(f"peak rss after {args.rounds * len(labels)} ops: old {rss[0]:.2f} MB, new {rss[1]:.2f} MB")
+    ops = args.rounds * len(labels)
+    print(f"reports equal in {ops - len(differ)} of {ops} ops")
+    for op in differ:
+        print(f"  differ: {op}")
+    print(f"peak rss after {ops} ops: old {rss[0]:.2f} MB, new {rss[1]:.2f} MB")
     return 1 if failed else 0
 
 

@@ -22,8 +22,9 @@ calls, and it cannot be batched bit for bit: the normal and exponential
 samplers use a variable number of words per value, and integers keeps a
 buffered half word from one call to the next.  The batch is then probed
 as arrays by jensen_probe_batch, one call per point count n, and so is
-each stack of ascent trials that coordinate_search builds from the rest
-of a sweep.
+each stack of ascent trials that coordinate_search builds: the next
+sweep's worth of the schedule, which may cross a sweep end into the
+next sweep at the level it would run at.
 Without a stop (estimate_L) the two-point phase is midpoint first:
 every pair of a batch is probed at t = 1/2 as one array, and only each
 batch's _REFINE best rows are scanned over t, the refined pairs of all
@@ -411,35 +412,48 @@ def coordinate_search(
     sweep without an accepted trial, through ASCENT_LEVELS levels.  At
     most steps trials are made; the current array is returned.
 
-    The trials left in the sweep are built from the current array as one
-    (k, n, d) stack of k <= chunk_rows(n d) trials, and judge(stack)
-    returns (j, verdict) for its first decisive row j: verdict True (the
-    trial becomes current) or None (the search ends), or (k - 1, False)
-    when no row is decisive.  Rows after j count as not made: the search
-    goes on from trial j + 1, so the trials made are those of a judge
-    shown one trial at a time."""
+    Each stack judged is the next min(2 n d, chunk_rows(n d), steps left)
+    trials of the schedule, built from the current array as if none of
+    them were accepted: the rest of the sweep, then the start of the next
+    sweep at the level it would run at, so a stack may cross a sweep end
+    (but builds no trial past the last level).  judge(stack) returns
+    (j, verdict) for its first decisive row j: verdict True (the trial
+    becomes current) or None (the search ends), or (k - 1, False) when
+    none of the k rows is decisive.  Rows after j count as not made: the
+    search goes on from trial j + 1, so the trials made are those of a
+    judge shown one trial at a time.  A call that decides nothing has
+    judged a whole window of rejected trials (fewer only at the steps or
+    the last level's end), not just the tail of a sweep."""
     current = np.array(start, dtype=np.float64)
     n, d = current.shape
+    sweep = 2 * n * d
     rows, cols = np.divmod(np.arange(n * d).repeat(2), d)
     signs = np.tile([1.0, -1.0], n * d)
-    cap = chunk_rows(current.size)
-    used = level = 0
+    window = min(sweep, chunk_rows(current.size))
+    base = 0.5 * (1.0 + radius)
+    used = level = pos = 0
+    accepted = False
     while used < steps and level < ASCENT_LEVELS:
-        step = 0.5 * (1.0 + radius) * ASCENT_SHRINK**level
-        accepted = False
-        pos, end = 0, min(len(signs), steps - used)
-        while pos < end:
-            m = np.arange(pos, min(pos + cap, end))
-            stack = np.repeat(current[None], len(m), axis=0)
-            stack[np.arange(len(m)), rows[m], cols[m]] += signs[m] * step
-            j, verdict = judge(stack)
-            pos += j + 1
-            if verdict is None:
-                return current
-            if verdict:
-                current, accepted = stack[j].copy(), True
-        used += pos
-        level += not accepted
+        nxt = level + (not accepted)  # the next sweep's level
+        k = min(window, steps - used)
+        if nxt == ASCENT_LEVELS:
+            k = min(k, sweep - pos)
+        lap, m = np.divmod(np.arange(pos, pos + k), sweep)
+        step = np.where(lap, base * ASCENT_SHRINK**nxt, base * ASCENT_SHRINK**level)
+        stack = np.repeat(current[None], k, axis=0)
+        stack[np.arange(k), rows[m], cols[m]] += signs[m] * step
+        j, verdict = judge(stack)
+        if verdict is None:
+            return current
+        if lap[j]:  # the rest of the sweep was rejected
+            level, pos, accepted = nxt, pos - sweep, False
+        pos += j + 1
+        used += j + 1
+        if verdict:
+            current, accepted = stack[j].copy(), True
+        if pos == sweep:
+            level += not accepted
+            pos, accepted = 0, False
     return current
 
 
@@ -462,16 +476,22 @@ def _ascend(
     start_c = best_c = _candidate_ratio(start)
     w = start.config.weights
     hit = None
+    # the weights and point counts of a stack's at most 2 n d rows, built once
+    most = 2 * start.config.points.size
+    weights = np.broadcast_to(w.weights, (most, start.config.n))
+    ns = [start.config.n] * most
 
     def judge(stack: np.ndarray) -> tuple[int, bool | None]:
         nonlocal best_c, hit
-        rows = jensen_probe_batch(F, stack, np.broadcast_to(w.weights, stack.shape[:2]))
+        rows = jensen_probe_batch(F, stack, weights[: len(stack)])
         c = _candidate_ratios(rows)
-        stops = np.asarray(stop(rows), dtype=bool) if stop is not None else np.zeros(len(c), bool)
-        decisive = stops | (c > best_c)
+        decisive = c > best_c
+        if stop is not None:
+            stops = np.asarray(stop(rows), dtype=bool)
+            decisive |= stops
         j = int(np.argmax(decisive)) if decisive.any() else len(c) - 1
-        log.add_batch("ascent", [start.config.n] * len(c), rows, 0, j + 1)
-        if stops[j]:
+        log.add_batch("ascent", ns, rows, 0, j + 1)
+        if stop is not None and stops[j]:
             hit = jensen_probe(F, Configuration(stack[j], w))
             return j, None
         if decisive[j]:

@@ -392,6 +392,10 @@ def fd_jacobian(F: VectorOracle, x: Vector | Matrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MIN_PAIR_DIST = 1e-9
+# relative slack on the Frobenius bound: both norms round by about d eps
+_FRO_SLACK = 1.0 + 1e-6
+# below this squared Frobenius norm the entries' squares may have underflowed
+_FRO_TINY = 1e-290
 
 
 def _lip_from_derivatives(
@@ -409,7 +413,16 @@ def _lip_from_derivatives(
     pair's two central-difference Jacobians take 2 d points of d entries
     at each sign, 4 d^2 entries in all (64 pairs at d = 8).  uniform
     draws one double per coordinate, so every chunk size draws the same
-    pairs, and the max over chunks does not depend on how they are cut."""
+    pairs, and the max over chunks does not depend on how they are cut.
+
+    The spectral norm is at most the Frobenius norm, which one einsum
+    gives for a whole chunk.  Only a pair whose Frobenius ratio times
+    _FRO_SLACK (1 + 1e-6, far above the d eps both norms round by) exceeds
+    the best of the earlier chunks can raise the max, so only those, and
+    any whose squared Frobenius norm is too small to trust, take an exact
+    norm: one np.linalg.norm call per chunk, none when no pair survives.
+    LAPACK computes each matrix on its own, so the max is the one every
+    pair's exact norm gives, bit for bit."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if sampler.radius <= 0.0:
@@ -426,8 +439,13 @@ def _lip_from_derivatives(
             continue
         pairs, dist = pairs[keep], dist[keep]
         jac = derivative(pairs.reshape(-1, sampler.dim)).reshape(len(pairs), 2, -1, sampler.dim)
-        norms = np.linalg.norm(jac[:, 0] - jac[:, 1], 2, axis=(1, 2))
-        best = max(best, float((norms / dist).max()))
+        dj = jac[:, 0] - jac[:, 1]
+        fro2 = np.einsum("bij,bij->b", dj, dj)
+        # not "ratio > best", so a NaN ratio is kept as the exact norm would keep it
+        live = np.flatnonzero(~(np.sqrt(fro2) / dist * _FRO_SLACK <= best) | (fro2 < _FRO_TINY))
+        if len(live):
+            norms = np.linalg.norm(dj[live], 2, axis=(1, 2))
+            best = max(best, float((norms / dist[live]).max()))
     return best
 
 

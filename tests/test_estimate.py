@@ -849,3 +849,101 @@ class TestCoordinateSearch:
         else:  # the stop fired mid-ascent and its probe came back
             assert logs[0].count == stop_after
             assert logs[0].rows[-1][1] == (ref.config.n, ref.gap, ref.spread, ref.ratio)
+
+
+class TestAscentWindow:
+    """Each stack coordinate_search judges is the next min(2 n d,
+    chunk_rows(n d), steps left) trials of the schedule, built as if none
+    were accepted, so it may run on past the sweep end into the next
+    sweep at the level that sweep would run at."""
+
+    @staticmethod
+    def _search(shape, steps, accept, stacks, start=None):
+        """coordinate_search from start (a seeded array by default) with a
+        judge that accepts trial t iff accept(t), recording each judged
+        stack, its first trial's index and its verdict in stacks."""
+        made = [0]
+
+        def judge(stack):
+            first = made[0]
+            for j in range(len(stack)):
+                made[0] += 1
+                if accept(made[0] - 1):
+                    break
+            verdict = bool(accept(made[0] - 1))
+            stacks.append((stack.copy(), first, j, verdict))
+            return j, verdict
+
+        if start is None:
+            start = np.random.default_rng(7).standard_normal(shape)
+        return coordinate_search(start, steps, 2.0, judge), made[0]
+
+    @pytest.mark.parametrize("accepts", [(3, 10, 14, 25, 30, 41), (0,), (5, 16, 27, 38, 49, 60, 71)])
+    def test_calls_when_levels_run_out(self, accepts):
+        # a 2x3 array sweeps 12 trials; the accepted trials are under 12
+        # apart, so each call up to the last accepted trial ends at it.  The
+        # rejections after it take one call for each of the ASCENT_LEVELS
+        # sweeps they run down, and one more for the rest of the last
+        # accepted trial's sweep unless that trial ended it (71 = 5 * 12 + 11)
+        stacks = []
+        _, made = self._search((2, 3), 10_000, set(accepts).__contains__, stacks)
+        assert made == (max(accepts) // 12 + 1 + ASCENT_LEVELS) * 12  # the levels ran out
+        assert len(stacks) == len(accepts) + ASCENT_LEVELS + (max(accepts) % 12 != 11)
+        # every call but the last ends at an accepted trial or judges a
+        # whole window of 12 rejected ones
+        for stack, _, j, verdict in stacks[:-1]:
+            assert verdict or (j + 1 == len(stack) == 12)
+
+    def test_stack_across_a_sweep_end_carries_both_levels(self):
+        # a 1x2 array sweeps 4 trials.  Trial 1 is accepted; the next stack
+        # (trials 2..5) is rejected whole, so it ends inside sweep 1 with
+        # nothing accepted there; the stack after it holds trials 6, 7 of
+        # sweep 1 at level 0 and 8, 9 of sweep 2 at level 1
+        stacks = []
+        self._search((1, 2), 10, {1}.__contains__, stacks, start=np.zeros((1, 2)))
+        assert [(len(s), first) for s, first, _, _ in stacks[:3]] == [(4, 0), (4, 2), (4, 6)]
+        stack, _, _, _ = stacks[2]
+        current = np.zeros((1, 2))
+        current[0, 0] -= 0.5 * (1.0 + 2.0) * ASCENT_SHRINK**0  # trial 1
+        want = []
+        for (i, k, s), level in zip([(0, 1, 1.0), (0, 1, -1.0), (0, 0, 1.0), (0, 0, -1.0)], [0, 0, 1, 1]):
+            trial = current.copy()
+            trial[i, k] += s * (0.5 * (1.0 + 2.0) * ASCENT_SHRINK**level)
+            want.append(trial)
+        assert np.array_equal(stack, np.array(want))
+
+    def test_no_trial_past_the_last_level(self):
+        # rejecting everything from mid-sweep: every stack of the last
+        # level stops at that sweep's end
+        stacks = []
+        _, made = self._search((1, 2), 10_000, {1}.__contains__, stacks, start=np.zeros((1, 2)))
+        assert made == 4 * (ASCENT_LEVELS + 1)
+        assert stacks[-1][1] + len(stacks[-1][0]) == made
+
+    @pytest.mark.parametrize("elements", [1, 5, 40, 10**9])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (4, 8)])
+    def test_stacks_within_the_window(self, monkeypatch, shape, elements):
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
+        n, d = shape
+        cap = min(2 * n * d, max(1, elements // (n * d)))
+        for p_accept in (0.0, 0.1, 0.5):
+            verdicts = np.random.default_rng(3).random(10_000) < p_accept
+            for steps in (9, 300):
+                stacks = []
+                _, made = self._search(shape, steps, verdicts.__getitem__, stacks)
+                assert made <= steps
+                assert all(len(s) <= min(cap, steps - first) for s, first, _, _ in stacks)
+                assert max(len(s) for s, _, _, _ in stacks) == min(cap, steps)
+
+    @pytest.mark.parametrize("elements", [1, 5, 7, 40])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (4, 8)])
+    def test_small_chunks_same_trials_as_nested_loop(self, monkeypatch, shape, elements):
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
+        for p_accept, stop_at in ((0.0, None), (0.15, None), (0.5, None), (0.3, 23)):
+            for seed in range(2):
+                ref, ref_end = TestCoordinateSearch._trials(shape, 400, p_accept, stop_at, seed)
+                stacks = []
+                got, got_end = TestCoordinateSearch._trials(shape, 400, p_accept, stop_at, seed, stacks)
+                assert len(got) == len(ref)
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+                assert np.array_equal(got_end, ref_end)

@@ -3,7 +3,7 @@ import pytest
 
 from hessfree import vecspace
 from hessfree.cli import _build_parser, _merge_config, _verify_functional_checks
-from hessfree.estimate import STREAM_FD, stream_rng
+from hessfree.estimate import STREAM_FD, SearchBudget, cross_validate, stream_rng
 from hessfree.oracles import (
     BUILTIN_NAMES,
     DomainSampler,
@@ -12,6 +12,7 @@ from hessfree.oracles import (
     ScalarOracle,
     VectorOracle,
     _gradient_steps,
+    _lip_from_derivatives,
     as_vector_oracle,
     builtin,
     central_differences,
@@ -22,6 +23,7 @@ from hessfree.oracles import (
     value_gradients,
 )
 from hessfree.slices import derivative_norm_via_functionals, difference_matrix
+from hessfree.vecspace import chunk_rows, row_norms
 
 
 def spectral_norm_2x2_closed_form(a):
@@ -402,3 +404,81 @@ class TestFdPointBudget:
         assert shapes == [(3, 2, 2)] * 8 + [(1, 2, 2)] * 2
         np.testing.assert_array_equal(rows, fd_jacobian(F, x))
         assert central_differences(fn, x[:0], np.ones((0, 2))).shape == (0, 2, 2)
+
+
+def _unpruned_lip(derivative, sampler, budget, rng):
+    """_lip_from_derivatives with an exact norm for every pair."""
+    best = 0.0
+    chunk = chunk_rows(4 * sampler.dim**2)
+    for start in range(0, budget, chunk):
+        n = min(chunk, budget - start)
+        pairs = sampler.uniform(rng, 2 * n).reshape(n, 2, sampler.dim)
+        dist = row_norms(pairs[:, 0] - pairs[:, 1])
+        keep = dist >= 1e-9
+        if not keep.any():
+            continue
+        pairs, dist = pairs[keep], dist[keep]
+        jac = derivative(pairs.reshape(-1, sampler.dim)).reshape(len(pairs), 2, -1, sampler.dim)
+        norms = np.linalg.norm(jac[:, 0] - jac[:, 1], 2, axis=(1, 2))
+        best = max(best, float((norms / dist).max()))
+    return best
+
+
+def _diagonal(x):
+    out = np.zeros((len(x), 3, 3))
+    out[:, range(3), range(3)] = np.array([3.0, -1.0, 0.5]) * x**2
+    return out
+
+
+_W = np.random.default_rng(21).standard_normal((5, 10))
+# derivative maps (B, d) -> (B, m, d) of every kind the pruning meets, by d
+DERIVATIVE_KINDS = {
+    "one_by_one": (1, lambda x: (x**2)[:, :, None]),
+    "diagonal": (3, _diagonal),
+    "rank_one": (4, lambda x: np.array([1.0, -2.0, 0.5, 3.0])[None, :, None] * (x**2)[:, None, :]),
+    "dense": (3, lambda x: np.sin(x @ _W[:3, :9]).reshape(len(x), 3, 3)),
+    "wide": (5, lambda x: np.tanh(x @ _W).reshape(len(x), 2, 5)),
+    "tall": (2, lambda x: np.cos(x @ _W[:2]).reshape(len(x), 5, 2)),
+    "all_zero": (2, lambda x: np.zeros((len(x), 2, 2))),
+    # squared entries underflow, so the Frobenius bound cannot be trusted
+    "tiny": (3, lambda x: 1e-170 * _diagonal(x)),
+    # every pair's ratio is 2.0 exactly, so the max is tied in every chunk
+    "ties": (1, lambda x: 2.0 * x[:, :, None]),
+}
+
+
+class TestPrunedFdNorms:
+    """_lip_from_derivatives takes exact spectral norms only of the pairs
+    whose Frobenius ratio can still beat the earlier chunks' best."""
+
+    @pytest.mark.parametrize("elements", [64, 1 << 14], ids=["small_chunks", "default_chunks"])
+    @pytest.mark.parametrize("kind", sorted(DERIVATIVE_KINDS))
+    def test_equals_every_pair_exact(self, kind, elements, monkeypatch):
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
+        dim, derivative = DERIVATIVE_KINDS[kind]
+        sampler = DomainSampler(dim, 3.0)
+        for seed in range(3):
+            got = _lip_from_derivatives(derivative, sampler, 1500, stream_rng(seed, STREAM_FD))
+            want = _unpruned_lip(derivative, sampler, 1500, stream_rng(seed, STREAM_FD))
+            assert got == want, (kind, seed)
+
+    def test_few_exact_norms_on_sc8(self, monkeypatch):
+        real = np.linalg.norm
+        exact = []
+
+        def counting(x, *args, **kw):
+            if args[:1] == (2,) and np.ndim(x) == 3:
+                exact.append(len(x))
+            return real(x, *args, **kw)
+
+        o = builtin("separable_cubic", [3.0, 1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 1.5])
+        want = _unpruned_lip(
+            lambda x: central_differences(o.gradient, x, _gradient_steps(x)),
+            DomainSampler(8, 5.0), 10_000, stream_rng(42, STREAM_FD))
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        rep = cross_validate(o, SearchBudget(seed=42))
+        assert rep.fd_pairs == 10_000
+        assert rep.l_fd == want
+        # one call per chunk at most, on under 1% of the pairs
+        assert len(exact) <= -(-10_000 // chunk_rows(4 * 8**2))
+        assert 0 < sum(exact) < 100

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -171,3 +172,26 @@ class TestAbOps:
         assert out[0] == "2 workers, certify, 2 rounds of 4 ops, seed 3"
         assert out[1].startswith("cpu new/old per round: median ") and out[1].endswith(" of 2")
         assert out[-1].startswith("peak rss after 8 ops: old ")
+
+    TINY = ["--budget-configs", "16", "--budget-pairs", "16", "--budget-ascent", "8", "--fd-pairs", "16"]
+
+    def test_reports_equal_against_itself(self, capsys):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        assert _load("ab_ops").main([src, src, "--rounds", "2", "--seed", "3", "--", *self.TINY]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "reports equal in 8 of 8 ops" in out
+        assert not any(line.startswith("  differ: ") for line in out)
+
+    def test_planted_report_change_is_listed(self, tmp_path, capsys):
+        # a copy of the tree whose reports name another RNG algorithm
+        src = Path(__file__).resolve().parent.parent / "src"
+        shutil.copytree(src / "hessfree", tmp_path / "hessfree", ignore=shutil.ignore_patterns("__pycache__"))
+        est = tmp_path / "hessfree" / "estimate.py"
+        est.write_text(est.read_text().replace('RNG_ALGORITHM = "', 'RNG_ALGORITHM = "planted-'))
+        argv = [str(src), str(tmp_path), "--rounds", "1", "--seed", "3", "--", *self.TINY]
+        assert _load("ab_ops").main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "reports equal in 0 of 4 ops" in out
+        differ = [line.split() for line in out if line.startswith("  differ: ")]
+        assert [words[1] for words in differ] == ["estimate:cubic1d", "estimate:sc2", "estimate:poly_map_2d", "estimate:sc8"]
+        assert all(words[2] == "seed" and words[3].isdigit() for words in differ)

@@ -22,9 +22,9 @@ Printed: the new/old ratio of each round's CPU time, its median and
 quartiles and the rounds the new tree took less CPU in; each op's median
 CPU time on both trees; in how many ops both trees returned the same
 report, with the label and seed of each op where they did not; and each
-worker's peak RSS after the same number of ops.  Flags after `--` go to every op, for example smaller budgets.
-The exit status is 1 when an op failed its checks on either tree, and 0
-otherwise.
+worker's peak RSS after the same number of ops.  Flags after `--` go to
+every op, for example smaller budgets.  The exit status is 1 when an op
+failed its checks on either tree, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def report_digest(report: dict | None) -> str | None:
     """sha256 of a parsed report without the fields report_diff ignores."""
     if report is None:
         return None
-    from report_diff import IGNORED
+    from report_diff import IGNORED  # scripts/ is on sys.path in a worker, run as a script
 
     for *parent, key in IGNORED:
         node = report

@@ -445,7 +445,7 @@ def coordinate_search(
         j, verdict = judge(stack)
         if verdict is None:
             return current
-        if lap[j]:  # the rest of the sweep was rejected
+        if lap[j]:  # row j is in the next sweep: the rest of this one was rejected
             level, pos, accepted = nxt, pos - sweep, False
         pos += j + 1
         used += j + 1

@@ -18,9 +18,13 @@ worker hashes the parsed report, leaving out the fields
 `scripts/report_diff.py` ignores (`wall_time_s` and the output paths);
 no report is kept.
 
+Each worker also adds up the points its op passes to the oracle, as
+`perfbench/spans.py` counts `oracles.eval_points`: the same wrapper on
+the oracle factory, with no spans recorded.
+
 Printed: the new/old ratio of each round's CPU time, its median and
 quartiles and the rounds the new tree took less CPU in; each op's median
-CPU time on both trees; in how many ops both trees returned the same
+CPU time and oracle points on both trees; in how many ops both trees returned the same
 report, with the label and seed of each op where they did not; and each
 worker's peak RSS after the same number of ops.  Flags after `--` go to
 every op, for example smaller budgets.  The exit status is 1 when an op
@@ -65,20 +69,32 @@ def worker(src: str, workload: str, out: str, seed: str, extra: list[str]) -> No
     results."""
     sys.path[:0] = [str(PERFBENCH), str(Path(src).resolve())]
     import harness
+    import spans
+
+    class PointCounter(spans.Tracer):
+        """Adds up the points of every oracle call and records nothing else."""
+
+        points = 0
+
+        def add_eval(self, points: int, seconds: float) -> None:
+            self.points += points
 
     harness.setup(workload, Path(out))
     runner = harness.Runner(Path(out), tuple(extra))
     ops = harness.WORKLOADS[workload]
+    counter = PointCounter()
     print(json.dumps([op.label for op in ops]), flush=True)
-    for line in sys.stdin:
-        rnd, index = map(int, line.split())
-        op_seed = harness.op_seed(int(seed), rnd, index)
-        t0 = time.process_time()
-        outcome = runner.run(ops[index], op_seed)
-        cpu = time.process_time() - t0
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps({"seed": op_seed, "cpu_s": cpu, "rss_mb": rss, "problems": outcome.problems,
-                          "report": report_digest(outcome.report)}), flush=True)
+    with counter.install([t for t in spans.TARGETS if t[3] == "oracle"]):
+        for line in sys.stdin:
+            rnd, index = map(int, line.split())
+            op_seed = harness.op_seed(int(seed), rnd, index)
+            counter.points = 0
+            t0 = time.process_time()
+            outcome = runner.run(ops[index], op_seed)
+            cpu = time.process_time() - t0
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            print(json.dumps({"seed": op_seed, "cpu_s": cpu, "rss_mb": rss, "points": counter.points,
+                              "problems": outcome.problems, "report": report_digest(outcome.report)}), flush=True)
 
 
 class Worker:
@@ -127,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
                 workers.append(Worker(src, args.workload, out, args.seed, extra))
             labels = workers[0].labels
             cpu = {label: ([], []) for label in labels}
+            points = {label: ([], []) for label in labels}
             ratios, failed, rss, differ = [], 0, [0.0, 0.0], []
             for rnd in range(args.rounds):
                 total = [0.0, 0.0]
@@ -137,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
                         digests[side] = res["report"]
                         total[side] += res["cpu_s"]
                         cpu[label][side].append(res["cpu_s"])
+                        points[label][side].append(res["points"])
                         rss[side] = res["rss_mb"]
                         if res["problems"]:
                             failed += 1
@@ -152,7 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     wins = sum(r < 1.0 for r in ratios)
     print(f"cpu new/old per round: median {med:.3f} [{q1:.3f}, {q3:.3f}], new faster in {wins} of {len(ratios)}")
     for label, (old, new) in cpu.items():
-        print(f"  {label}: old {statistics.median(old):.4f} s, new {statistics.median(new):.4f} s")
+        old_pts, new_pts = (statistics.median(p) for p in points[label])
+        print(f"  {label}: old {statistics.median(old):.4f} s, new {statistics.median(new):.4f} s; "
+              f"oracle points old {old_pts:.0f}, new {new_pts:.0f}")
     ops = args.rounds * len(labels)
     print(f"reports equal in {ops - len(differ)} of {ops} ops")
     for op in differ:

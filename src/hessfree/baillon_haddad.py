@@ -117,10 +117,10 @@ def check_cocoercive(
 ) -> CocoercivityReport:
     """Minimum residual over sampled pairs, then coordinate descent from
     the worst pair toward violations, a trial accepted when its residual
-    is strictly lower.  The descent judges each stack of trial pairs of
-    coordinate_search with one G call; pairs_tested and both scales count
-    only the trials up to the stack's first accepted one, as a descent
-    making one trial at a time would.
+    is strictly lower.  The descent evaluates each stack of trial pairs
+    coordinate_search builds with one G call; pairs_tested and both scales
+    count only the trials up to each plan's first accepted one, as a
+    descent making one trial at a time would.
 
     Passes iff the minimum stays above -1e-10 (1 + scale)^2, where the
     scale combines the largest ||G|| and point norms seen: for operators
@@ -146,23 +146,29 @@ def check_cocoercive(
     tested = pairs
 
     # descend on the residual from the worst pair, one coordinate of one
-    # endpoint at a time; one G call gives a stack of trials' residuals,
-    # and only the trials up to the first accepted one count
-    def judge(stack: np.ndarray) -> tuple[int, bool]:
-        nonlocal worst, gscale, pscale, tested
+    # endpoint at a time; one G call gives a stack of trials' residuals and
+    # norms, and only the trials up to a plan's first accepted one count
+    def evaluate(stack: np.ndarray) -> Matrix:
+        b = len(stack)
         dg, dxy, vals, _ = _pair_differences(G, stack[:, 0], stack[:, 1])
         r = _residuals(dg, dxy, beta)
+        with np.errstate(over="ignore"):
+            points = row_norms(stack.reshape(2 * b, -1)).reshape(b, 2).max(axis=1)
+            return np.column_stack([r, row_norms(vals[:b]), row_norms(vals[b:]), points])
+
+    def decide(stack: np.ndarray, rows: Matrix) -> tuple[int, bool]:
+        nonlocal worst, gscale, pscale, tested
+        r, gx, gy, points = rows.T
         better = ~(r >= worst)
-        b = len(stack)
-        j = int(np.argmax(better)) if better.any() else b - 1
+        j = int(np.argmax(better)) if better.any() else len(r) - 1
         tested += j + 1
-        gscale = max(gscale, _max_norm(vals[: j + 1]), _max_norm(vals[b : b + j + 1]))
-        pscale = max(pscale, _max_norm(stack[: j + 1].reshape(-1, stack.shape[2])))
+        gscale = max(gscale, float(gx[: j + 1].max()), float(gy[: j + 1].max()))
+        pscale = max(pscale, float(points[: j + 1].max()))
         if better[j]:
             worst = float(r[j])
         return j, bool(better[j])
 
-    wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, judge)
+    wx, wy = coordinate_search(np.stack([xs[k], ys[k]]), ascent_steps, sampler.radius, evaluate, decide)
 
     tol = COCOERCIVITY_TOL_COEFF * squares(1.0 + gscale + pscale)
     require_finite("cocoercivity", tol)

@@ -22,9 +22,13 @@ calls, and it cannot be batched bit for bit: the normal and exponential
 samplers use a variable number of words per value, and integers keeps a
 buffered half word from one call to the next.  The batch is then probed
 as arrays by jensen_probe_batch, one call per point count n, and so is
-each stack of ascent trials that coordinate_search builds: the next
-sweep's worth of the schedule, which may cross a sweep end into the
-next sweep at the level it would run at.
+each stack of ascent trials that coordinate_search builds: a chain of
+plans, each the next sweep's worth of the schedule, the first from the
+current points and each later one from where the predicted outcome of
+the one before would leave them.  The ascent decides the plans in
+order, stops following the chain at the first outcome the prediction
+missed, and logs each decided plan up to its decisive row, so its
+trials, log and witness are those of one call per plan.
 Without a stop (estimate_L) the two-point phase is midpoint first:
 every pair of a batch is probed at t = 1/2 as one array, and only each
 batch's _REFINE best rows are scanned over t, the refined pairs of all
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -403,7 +407,11 @@ def _config_results(
 
 
 def coordinate_search(
-    start: Matrix, steps: int, radius: float, judge: Callable[[np.ndarray], tuple[int, bool | None]]
+    start: Matrix,
+    steps: int,
+    radius: float,
+    evaluate: Callable[[np.ndarray], Sequence],
+    decide: Callable[[np.ndarray, Sequence], tuple[int, bool | None]],
 ) -> Matrix:
     """The search _ascend and check_cocoercive run from start (n, d): each
     trial is the current array with one coordinate of one row moved by
@@ -412,48 +420,138 @@ def coordinate_search(
     sweep without an accepted trial, through ASCENT_LEVELS levels.  At
     most steps trials are made; the current array is returned.
 
-    Each stack judged is the next min(2 n d, chunk_rows(n d), steps left)
-    trials of the schedule, built from the current array as if none of
-    them were accepted: the rest of the sweep, then the start of the next
-    sweep at the level it would run at, so a stack may cross a sweep end
-    (but builds no trial past the last level).  judge(stack) returns
-    (j, verdict) for its first decisive row j: verdict True (the trial
-    becomes current) or None (the search ends), or (k - 1, False) when
-    none of the k rows is decisive.  Rows after j count as not made: the
-    search goes on from trial j + 1, so the trials made are those of a
-    judge shown one trial at a time.  A call that decides nothing has
-    judged a whole window of rejected trials (fewer only at the steps or
-    the last level's end), not just the tail of a sweep."""
+    A plan is the next min(2 n d, chunk_rows(n d), steps left) trials of
+    the schedule, built from the current array as if none of them were
+    accepted: the rest of the sweep, then the start of the next sweep at
+    the level it would run at (but no trial past the last level).
+    decide(plan, rows) returns (j, verdict) for the plan's first decisive
+    row j: verdict True (the trial becomes current) or None (the search
+    ends), or (k - 1, False) when none of its k rows is decisive.  Rows
+    after j count as not made: the next plan starts at trial j + 1, so
+    the trials made are those of a decide shown one trial at a time.  A
+    plan decided with nothing accepted holds a whole window of rejected
+    trials (fewer only at the steps or the last level's end), not just
+    the tail of a sweep.
+
+    evaluate(stack) returns the rows of a stack of trials, rows[a:b]
+    those of stack[a:b], and one call may cover several plans.  Along a
+    ridge the accepted rows repeat with a short period (4, 2, 4, 2, ... on
+    sc2: compass search following a ridge), so each call evaluates a
+    chain: the current plan, then the plans that follow if the outcomes
+    (the accepted row, or a plan rejected whole) go on repeating the
+    shortest period p <= n that their last 2 p show (none without one).
+    decide takes the plans in order, and the rest of the chain is dropped
+    at the first outcome that differs from the prediction, so decide sees
+    the (plan, rows) sequence of one evaluate call per plan.  A chain holds
+    at most chunk_rows(n n d) rows, one chunk of jensen_probe_batch, or
+    one plan where a plan is longer (as at d = 128), and predicts at most
+    depth plans past the current one: depth starts at 1, doubles after
+    each chain of that length
+    decided whole and goes back to 1 after a miss, so a broken pattern
+    wastes at most about the rows of the last chain that held.  When a
+    chained call raises, the current plan is evaluated alone, so only an
+    error in the rows of a plan that is decided surfaces."""
     current = np.array(start, dtype=np.float64)
     n, d = current.shape
     sweep = 2 * n * d
-    rows, cols = np.divmod(np.arange(n * d).repeat(2), d)
     signs = np.tile([1.0, -1.0], n * d)
     window = min(sweep, chunk_rows(current.size))
+    # a chain fills at most one chunk of jensen_probe_batch, whose
+    # (rows, n, n, d) differences take n n d entries a row: past that the
+    # kernel splits the call anyway, and the longer chain only holds more
+    cap = max(window, chunk_rows(n * current.size))
     base = 0.5 * (1.0 + radius)
-    used = level = pos = 0
-    accepted = False
-    while used < steps and level < ASCENT_LEVELS:
-        nxt = level + (not accepted)  # the next sweep's level
-        k = min(window, steps - used)
-        if nxt == ASCENT_LEVELS:
-            k = min(k, sweep - pos)
-        lap, m = np.divmod(np.arange(pos, pos + k), sweep)
-        step = np.where(lap, base * ASCENT_SHRINK**nxt, base * ASCENT_SHRINK**level)
-        stack = np.repeat(current[None], k, axis=0)
-        stack[np.arange(k), rows[m], cols[m]] += signs[m] * step
-        j, verdict = judge(stack)
-        if verdict is None:
-            return current
-        if lap[j]:  # row j is in the next sweep: the rest of this one was rejected
-            level, pos, accepted = nxt, pos - sweep, False
+    # each level's step by the Python expression: numpy's ** on an array
+    # of levels rounds some of them differently
+    step_of = np.array([base * ASCENT_SHRINK**level for level in range(ASCENT_LEVELS)])
+
+    def after(level: int, pos: int, accepted: bool, j: int, verdict: bool) -> tuple[int, int, bool]:
+        """(level, position in the sweep, accepted in this sweep) after a
+        decision on row j of the plan built in the given state."""
+        if pos + j >= sweep:  # row j is in the next sweep: the rest of this one was rejected
+            level, pos, accepted = level + (not accepted), pos - sweep, False
         pos += j + 1
-        used += j + 1
-        if verdict:
-            current, accepted = stack[j].copy(), True
+        accepted = accepted or verdict
         if pos == sweep:
             level += not accepted
             pos, accepted = 0, False
+        return level, pos, accepted
+
+    used = level = pos = 0
+    accepted = False
+    outcomes: list[int] = []  # each decision's accepted row, or -1 for a plan rejected whole
+    depth = 1  # plans a chain predicts past the current one
+    while used < steps and level < ASCENT_LEVELS:
+        period = next((outcomes[-p:] for p in range(1, n + 1)
+                       if len(outcomes) >= 2 * p and outcomes[-p:] == outcomes[-2 * p : -p]), [])
+        # the chain: each plan's state (level, pos, accepted, used), first
+        # row and size, built in the state the predicted outcome of the one
+        # before leaves, and that outcome with the row it decides on
+        states, firsts, sizes, guesses, links = [], [], [], [], []
+        state, total = (level, pos, accepted, used), 0
+        while state[3] < steps and state[0] < ASCENT_LEVELS:
+            k = min(window, steps - state[3])
+            if state[0] + (not state[2]) == ASCENT_LEVELS:
+                k = min(k, sweep - state[1])
+            if total + k > cap:
+                break
+            states.append(state)
+            firsts.append(total)
+            sizes.append(k)
+            total += k
+            o = period[len(guesses) % len(period)] if period else k
+            if len(guesses) == depth or o >= k:
+                break
+            j = k - 1 if o < 0 else o
+            guesses.append(o)
+            links.append(total - k + j)
+            state = (*after(*state[:3], j, o >= 0), state[3] + j + 1)
+        del guesses[len(states) - 1 :], links[len(states) - 1 :]  # guesses for a plan that did not fit
+        # the chain's stack in one pass: row r of a plan is the plan's base
+        # with coordinate m // 2 moved by signs[m] times the step of its
+        # sweep's level, and each base is the one before plus the move of
+        # its link if that is predicted accepted (-0.0 adds nothing to any
+        # float, -0.0 included)
+        lv, ps, acc, _ = np.array(states).T
+        plan = np.repeat(np.arange(len(states)), sizes)
+        lap, m = np.divmod(np.arange(total) - np.array(firsts)[plan] + ps[plan], sweep)
+        delta = signs[m] * step_of[np.where(lap, (lv + 1 - acc)[plan], lv[plan])]
+        moves = np.full((len(states), n * d), -0.0)
+        moves[0] = current.ravel()
+        moved = [t for t, o in enumerate(guesses) if o >= 0]
+        linked = [links[t] for t in moved]
+        moves[[t + 1 for t in moved], m[linked] // 2] = delta[linked]
+        stack = np.add.accumulate(moves)[plan]
+        stack[np.arange(total), m // 2] += delta
+        stack = stack.reshape(total, n, d)
+        try:
+            rows = evaluate(stack)
+        except Exception:
+            if len(states) == 1:
+                raise
+            del states[1:], guesses[:]
+            depth, rows = 1, evaluate(stack[: sizes[0]])
+        last = None  # the row of the chain's last accepted trial
+        for i in range(len(states)):
+            a, b = firsts[i], firsts[i] + sizes[i]
+            j, verdict = decide(stack[a:b], rows[a:b])
+            if verdict:
+                last = a + j
+            if verdict is None or i == len(guesses) or (j if verdict else -1, a + j) != (guesses[i], links[i]):
+                break
+        if last is not None:
+            current = stack[last].copy()
+        del stack, rows  # before the next chain's are built
+        if verdict is None:
+            return current
+        level, pos, accepted = after(*states[i][:3], j, verdict)
+        used = states[i][3] + j + 1
+        outcomes += guesses[:i]  # the plans before plan i went as predicted
+        outcomes.append(j if verdict else -1)
+        if i < len(guesses):  # a miss
+            depth = 1
+        elif len(guesses) == depth:
+            depth *= 2
     return current
 
 
@@ -470,36 +568,38 @@ def _ascend(
     increases.  A trial satisfying stop ends the search and is returned;
     otherwise the best probe is.
 
-    Each stack of trials is probed by one jensen_probe_batch call and
-    logged up to its decisive row; only the returned probe, a stop hit or
-    the final best, is re-evaluated through jensen_probe."""
+    Each stack of trials is probed by one jensen_probe_batch call, and its
+    rows carry each trial's candidate ratio, stop flag and probe numbers;
+    each plan is logged up to its decisive row.  Only the returned probe, a
+    stop hit or the final best, is re-evaluated through jensen_probe."""
     start_c = best_c = _candidate_ratio(start)
     w = start.config.weights
     hit = None
-    # the weights and point counts of a stack's at most 2 n d rows, built once
-    most = 2 * start.config.points.size
-    weights = np.broadcast_to(w.weights, (most, start.config.n))
-    ns = [start.config.n] * most
+    # the weights of a stack's at most chunk_rows(n d) rows and the point
+    # counts of a plan's at most 2 n d, built once
+    weights = np.broadcast_to(w.weights, (chunk_rows(start.config.points.size), start.config.n))
+    ns = [start.config.n] * (2 * start.config.points.size)
 
-    def judge(stack: np.ndarray) -> tuple[int, bool | None]:
+    def evaluate(stack: np.ndarray) -> np.ndarray:
+        batch = jensen_probe_batch(F, stack, weights[: len(stack)])
+        stops = np.zeros(len(stack)) if stop is None else stop(batch)
+        return np.column_stack([_candidate_ratios(batch), stops, *batch])
+
+    def decide(stack: np.ndarray, rows: np.ndarray) -> tuple[int, bool | None]:
         nonlocal best_c, hit
-        rows = jensen_probe_batch(F, stack, weights[: len(stack)])
-        c = _candidate_ratios(rows)
-        decisive = c > best_c
-        if stop is not None:
-            stops = np.asarray(stop(rows), dtype=bool)
-            decisive |= stops
-        j = int(np.argmax(decisive)) if decisive.any() else len(c) - 1
-        log.add_batch("ascent", ns, rows, 0, j + 1)
-        if stop is not None and stops[j]:
+        for j, (c, stops) in enumerate(rows[:, :2].tolist()):
+            if stops or c > best_c:
+                break
+        log.add_batch("ascent", ns, ProbeBatch(*rows[:, 2:].T), 0, j + 1)
+        if stops:
             hit = jensen_probe(F, Configuration(stack[j], w))
             return j, None
-        if decisive[j]:
-            best_c = c[j]
+        if c > best_c:
+            best_c = c
             return j, True
         return j, False
 
-    end = coordinate_search(start.config.points, steps, radius, judge)
+    end = coordinate_search(start.config.points, steps, radius, evaluate, decide)
     if hit is not None:
         return hit
     # the start itself when no trial beat it

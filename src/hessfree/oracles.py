@@ -416,13 +416,19 @@ def _lip_from_derivatives(
     pairs, and the max over chunks does not depend on how they are cut.
 
     The spectral norm is at most the Frobenius norm, which one einsum
-    gives for a whole chunk.  Only a pair whose Frobenius ratio times
-    _FRO_SLACK (1 + 1e-6, far above the d eps both norms round by) exceeds
-    the best of the earlier chunks can raise the max, so only those, and
-    any whose squared Frobenius norm is too small to trust, take an exact
-    norm: one np.linalg.norm call per chunk, none when no pair survives.
-    LAPACK computes each matrix on its own, so the max is the one every
-    pair's exact norm gives, bit for bit."""
+    gives for a whole chunk, and at least the Frobenius norm over
+    sqrt(min(m, d)).  So the chunk's max is at least its floor: the best
+    of the earlier chunks, or the chunk's largest Frobenius ratio over
+    sqrt(min(m, d)) _FRO_SLACK if that is larger (finite squared norms at
+    or above _FRO_TINY only).  Only a pair whose Frobenius ratio times
+    _FRO_SLACK (1 + 1e-6, far above the d eps both norms round by)
+    exceeds the floor can raise the max, so only those, and any whose
+    squared Frobenius norm is too small to trust, take an exact norm: one
+    np.linalg.norm call per chunk, none when no pair survives.  At d = 1
+    the Frobenius norm is the spectral norm, and only the pairs within
+    the slack of the chunk's largest ratio survive.  LAPACK computes each
+    matrix on its own, so the max is the one every pair's exact norm
+    gives, bit for bit."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if sampler.radius <= 0.0:
@@ -441,8 +447,13 @@ def _lip_from_derivatives(
         jac = derivative(pairs.reshape(-1, sampler.dim)).reshape(len(pairs), 2, -1, sampler.dim)
         dj = jac[:, 0] - jac[:, 1]
         fro2 = np.einsum("bij,bij->b", dj, dj)
-        # not "ratio > best", so a NaN ratio is kept as the exact norm would keep it
-        live = np.flatnonzero(~(np.sqrt(fro2) / dist * _FRO_SLACK <= best) | (fro2 < _FRO_TINY))
+        ratio = np.sqrt(fro2) / dist
+        # ||D||_2 >= ||D||_F / sqrt(min(m, d)), so the chunk's largest exact
+        # ratio is at least its largest trusted Frobenius ratio over that
+        top = np.where((fro2 >= _FRO_TINY) & (fro2 < np.inf), ratio, 0.0).max()
+        floor = max(best, float(top) / (min(dj.shape[1:]) ** 0.5 * _FRO_SLACK))
+        # not "ratio > floor", so a NaN ratio is kept as the exact norm would keep it
+        live = np.flatnonzero(~(ratio * _FRO_SLACK <= floor) | (fro2 < _FRO_TINY))
         if len(live):
             norms = np.linalg.norm(dj[live], 2, axis=(1, 2))
             best = max(best, float((norms / dist[live]).max()))

@@ -139,21 +139,24 @@ class TestCheckCocoercive:
 
     def test_one_operator_call_per_ascent_trial(self, monkeypatch):
         # the sampled x rows stacked over the y rows, then one call per
-        # stack of trial pairs the descent judges, its x rows over its y rows
-        calls, stacks = [], []
+        # stack of trial pairs the descent evaluates, its x rows over its
+        # y rows
+        calls, stacks, plans = [], [], []
 
         def G(p):
             calls.append(np.shape(p))
             return np.asarray(p) * np.array([1.05, 0.2])
 
-        def search(start, steps, radius, judge):
-            return coordinate_search(start, steps, radius, lambda s: stacks.append(len(s)) or judge(s))
+        def search(start, steps, radius, evaluate, decide):
+            return coordinate_search(start, steps, radius, lambda s: stacks.append(len(s)) or evaluate(s),
+                                     lambda s, rows: plans.append(len(s)) or decide(s, rows))
 
         monkeypatch.setattr(baillon_haddad, "coordinate_search", search)
         rep = check_cocoercive(G, 1.0, self.sampler(), np.random.default_rng(3), 400, ascent_steps=200)
         assert rep.pairs_tested - 400 > len(stacks) > 0
         assert calls == [(800, 2)] + [(2 * k, 2) for k in stacks]
-        assert max(stacks) == 8  # one sweep of a (2, 2) pair
+        assert max(plans) == 8  # one sweep of a (2, 2) pair
+        assert len(stacks) < len(plans)  # some calls evaluate a chain of plans
 
     @pytest.mark.parametrize("name, params, known_l", ZOO_SLICES)
     def test_witness_replays(self, name, params, known_l):

@@ -623,8 +623,8 @@ class TestWorkingSet:
         stacks = []
         search = estimate.coordinate_search
 
-        def recording(start, steps, radius, judge):
-            return search(start, steps, radius, lambda stack: stacks.append(stack.size) or judge(stack))
+        def recording(start, steps, radius, evaluate, decide):
+            return search(start, steps, radius, lambda stack: stacks.append(stack.size) or evaluate(stack), decide)
 
         monkeypatch.setattr(estimate, "coordinate_search", recording)
         shapes.clear()
@@ -741,7 +741,7 @@ class TestCoordinateSearch:
         """The trials a search makes when trial t is accepted with the
         t-th of a seeded run of verdicts, or ends it when t == stop_at:
         through _nested_search one trial at a time without stacks, else
-        through coordinate_search, recording each judged stack's size and
+        through coordinate_search, recording each decided plan's size and
         accounted rows in stacks."""
         verdicts = np.random.default_rng(seed).random(10_000) < p_accept
         trials = []
@@ -750,8 +750,8 @@ class TestCoordinateSearch:
             trials.append(trial.copy())
             return None if len(trials) == stop_at else bool(verdicts[len(trials) - 1])
 
-        def judge(stack):
-            for j, trial in enumerate(stack):
+        def decide(stack, rows):
+            for j, trial in enumerate(rows):
                 v = verdict(trial)
                 if v is None or v:
                     break
@@ -761,7 +761,7 @@ class TestCoordinateSearch:
         start = np.random.default_rng(seed + 1).standard_normal(shape)
         if stacks is None:
             return trials, _nested_search(start, steps, 2.0, verdict)
-        return trials, coordinate_search(start, steps, 2.0, judge)
+        return trials, coordinate_search(start, steps, 2.0, np.copy, decide)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 8)])
     @pytest.mark.parametrize("p_accept, stop_at", [(0.0, None), (0.2, None), (0.6, None), (0.3, 5)])
@@ -864,7 +864,7 @@ class TestAscentWindow:
         stack, its first trial's index and its verdict in stacks."""
         made = [0]
 
-        def judge(stack):
+        def decide(stack, rows):
             first = made[0]
             for j in range(len(stack)):
                 made[0] += 1
@@ -876,7 +876,7 @@ class TestAscentWindow:
 
         if start is None:
             start = np.random.default_rng(7).standard_normal(shape)
-        return coordinate_search(start, steps, 2.0, judge), made[0]
+        return coordinate_search(start, steps, 2.0, np.copy, decide), made[0]
 
     @pytest.mark.parametrize("accepts", [(3, 10, 14, 25, 30, 41), (0,), (5, 16, 27, 38, 49, 60, 71)])
     def test_calls_when_levels_run_out(self, accepts):
@@ -947,3 +947,156 @@ class TestAscentWindow:
                 assert len(got) == len(ref)
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref))
                 assert np.array_equal(got_end, ref_end)
+
+
+def _one_plan_search(start, steps, radius, evaluate, decide):
+    """coordinate_search with each plan evaluated by itself, the reference
+    its chains of plans must match."""
+    current = np.array(start, dtype=np.float64)
+    n, d = current.shape
+    sweep = 2 * n * d
+    rows, cols = np.divmod(np.arange(n * d).repeat(2), d)
+    signs = np.tile([1.0, -1.0], n * d)
+    window = min(sweep, vecspace.chunk_rows(current.size))
+    base = 0.5 * (1.0 + radius)
+    used = level = pos = 0
+    accepted = False
+    while used < steps and level < ASCENT_LEVELS:
+        nxt = level + (not accepted)
+        k = min(window, steps - used)
+        if nxt == ASCENT_LEVELS:
+            k = min(k, sweep - pos)
+        lap, m = np.divmod(np.arange(pos, pos + k), sweep)
+        step = np.where(lap, base * ASCENT_SHRINK**nxt, base * ASCENT_SHRINK**level)
+        stack = np.repeat(current[None], k, axis=0)
+        stack[np.arange(k), rows[m], cols[m]] += signs[m] * step
+        j, verdict = decide(stack, evaluate(stack))
+        if verdict is None:
+            return current
+        if lap[j]:
+            level, pos, accepted = nxt, pos - sweep, False
+        pos += j + 1
+        used += j + 1
+        if verdict:
+            current, accepted = stack[j].copy(), True
+        if pos == sweep:
+            level += not accepted
+            pos, accepted = 0, False
+    return current
+
+
+class TestSpeculativeChain:
+    """coordinate_search evaluates the current plan and the plans a
+    predicted run of decisions would make next in one call, and decide
+    sees what one evaluate call per plan shows it."""
+
+    @staticmethod
+    def _stream(kind, n, seed=0):
+        """outcome(q, k): the q-th decision on a k-row plan, as the row it
+        accepts or None for a plan rejected whole.  Periodic streams break
+        their pattern every 23rd decision and reject every 31st plan whole,
+        so chains miss too."""
+        pattern = {"period_1": [1], "period_2": [3, 0], "period_n": [2, 0, 5, 1][:n]}.get(kind)
+        rng = np.random.default_rng(seed)
+
+        def outcome(q, k):
+            if pattern is None:  # a seeded random stream
+                j = int(rng.integers(0, k + 1))
+                return None if j == k else j
+            if q % 31 == 30:
+                return None
+            j = pattern[q % len(pattern)] + (q % 23 == 22)
+            return j if j < k else None
+
+        return outcome
+
+    @staticmethod
+    def _run(search, shape, steps, outcome, stop_at=None, evaluate=None, decided=None):
+        """search from a seeded start with a decide driven by outcome,
+        stopping at decision stop_at; returns the decided (plan, rows)
+        pairs (appended to decided when given), the evaluate calls' sizes
+        and the end array."""
+        decided, calls = [] if decided is None else decided, []
+
+        def evaluating(stack):
+            calls.append(len(stack))
+            return 2.0 * stack if evaluate is None else evaluate(stack)
+
+        def decide(stack, rows):
+            decided.append((stack.copy(), rows.copy()))
+            q, k = len(decided) - 1, len(stack)
+            if q == stop_at:
+                return min(1, k - 1), None
+            j = outcome(q, k)
+            return (k - 1, False) if j is None else (j, True)
+
+        start = np.random.default_rng(11).standard_normal(shape)
+        return decided, calls, search(start, steps, 2.0, evaluating, decide)
+
+    @pytest.mark.parametrize("stop_at", [None, 40])
+    @pytest.mark.parametrize("kind", ["period_1", "period_2", "period_n", "random"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (4, 8)])
+    def test_decides_as_one_plan_per_evaluate(self, shape, kind, stop_at):
+        for steps in (60, 2000):
+            for seed in range(2):
+                runs = [self._run(search, shape, steps, self._stream(kind, shape[0], seed), stop_at)
+                        for search in (_one_plan_search, coordinate_search)]
+                (ref, ref_calls, ref_end), (got, got_calls, got_end) = runs
+                assert len(got) == len(ref) == len(ref_calls)
+                for (plan, rows), (ref_plan, ref_rows) in zip(got, ref):
+                    assert np.array_equal(plan, ref_plan) and np.array_equal(rows, ref_rows)
+                assert np.array_equal(got_end, ref_end)
+                if len(got) >= 100 and kind != "random":
+                    assert len(got_calls) < len(got)  # chains were taken
+
+    def test_period_two_stream_takes_few_calls(self):
+        outcome = lambda q, k: (3, 1)[q % 2]
+        decided, calls, _ = self._run(coordinate_search, (2, 3), 3000, outcome)
+        assert len(decided) == 1000  # 3000 steps, every decision accepting after 4 or 2 trials
+        assert len(calls) <= len(decided) / 8
+
+    def test_error_in_an_undecided_plan_does_not_surface(self):
+        shape, steps = (2, 3), 2000
+        outcome = self._stream("period_2", 2)
+        ref, _, ref_end = self._run(_one_plan_search, shape, steps, outcome)
+        seen = []
+        self._run(coordinate_search, shape, steps, outcome, evaluate=lambda s: seen.append(s.copy()) or 2.0 * s)
+        decided = {row.tobytes() for plan, _ in ref for row in plan}
+        undecided = [row for stack in seen for row in stack if row.tobytes() not in decided]
+        assert undecided  # some chain ran past a miss
+
+        def poisoned(row):
+            def evaluate(stack):
+                if any(np.array_equal(r, row) for r in stack):
+                    raise ValueError("poisoned row")
+                return 2.0 * stack
+            return evaluate
+
+        got, _, got_end = self._run(coordinate_search, shape, steps, outcome, evaluate=poisoned(undecided[0]))
+        assert len(got) == len(ref)
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(got, ref))
+        assert np.array_equal(got_end, ref_end)
+        # a row of a decided plan raises, after the decisions one plan at a
+        # time makes before it
+        row = ref[30][0][2]
+        before = []
+        for search in (_one_plan_search, coordinate_search):
+            before.append([])
+            with pytest.raises(ValueError, match="poisoned row"):
+                self._run(search, shape, steps, outcome, evaluate=poisoned(row), decided=before[-1])
+        assert len(before[1]) == len(before[0]) > 0
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(*before))
+
+    @pytest.mark.parametrize("elements", [1, 5, 40, 1 << 14])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 8)])
+    def test_calls_within_chunk_rows(self, monkeypatch, shape, elements):
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
+        n, d = shape
+        # one jensen_probe_batch chunk, or one plan where that is longer
+        cap = max(min(2 * n * d, vecspace.chunk_rows(n * d)), vecspace.chunk_rows(n * n * d))
+        assert cap <= vecspace.chunk_rows(n * d)
+        for kind in ("period_1", "period_2", "random"):
+            _, calls, _ = self._run(coordinate_search, shape, 2000, self._stream(kind, n))
+            assert max(calls) <= cap
+            if elements == 1 << 14 and kind == "period_1":
+                assert max(calls) > 2 * n * d  # more than one plan

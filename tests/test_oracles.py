@@ -444,6 +444,8 @@ DERIVATIVE_KINDS = {
     "tiny": (3, lambda x: 1e-170 * _diagonal(x)),
     # every pair's ratio is 2.0 exactly, so the max is tied in every chunk
     "ties": (1, lambda x: 2.0 * x[:, :, None]),
+    # squared entries overflow, so those Frobenius ratios read inf
+    "huge": (3, lambda x: 1e160 * _diagonal(x)),
 }
 
 
@@ -482,3 +484,25 @@ class TestPrunedFdNorms:
         # one call per chunk at most, on under 1% of the pairs
         assert len(exact) <= -(-10_000 // chunk_rows(4 * 8**2))
         assert 0 < sum(exact) < 100
+
+    def test_few_exact_norms_at_d1(self, monkeypatch):
+        # a 1x1 matrix's Frobenius norm is its spectral norm, so each chunk
+        # takes exact norms only of the pairs within the slack of its
+        # largest ratio: none of the first chunk's 4 096 others
+        real = np.linalg.norm
+        exact = []
+
+        def counting(x, *args, **kw):
+            if args[:1] == (2,) and np.ndim(x) == 3:
+                exact.append(len(x))
+            return real(x, *args, **kw)
+
+        o = builtin("cubic1d", [3.0])
+        want = _unpruned_lip(
+            lambda x: central_differences(o.gradient, x, _gradient_steps(x)),
+            DomainSampler(1, 5.0), 10_000, stream_rng(42, STREAM_FD))
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        rep = cross_validate(o, SearchBudget(seed=42))
+        assert rep.l_fd == want
+        assert len(exact) <= -(-10_000 // chunk_rows(4))
+        assert 0 < sum(exact) <= 5

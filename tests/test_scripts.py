@@ -172,6 +172,12 @@ class TestAbOps:
         assert out[0] == "2 workers, certify, 2 rounds of 4 ops, seed 3"
         assert out[1].startswith("cpu new/old per round: median ") and out[1].endswith(" of 2")
         assert out[-1].startswith("peak rss after 8 ops: old ")
+        # each op's median oracle points, equal on the one tree
+        per_op = [line.split("; oracle points ")[1] for line in out if line.startswith("  ") and "; oracle points " in line]
+        assert len(per_op) == 4
+        for line in per_op:
+            old, new = (int(part.split()[-1]) for part in line.split(", "))
+            assert old == new > 0
 
     TINY = ["--budget-configs", "16", "--budget-pairs", "16", "--budget-ascent", "8", "--fd-pairs", "16"]
 

@@ -117,9 +117,9 @@ def check_cocoercive(
 ) -> CocoercivityReport:
     """Minimum residual over sampled pairs, then coordinate descent from
     the worst pair toward violations, a trial accepted when its residual
-    is strictly lower.  The descent evaluates each stack of trial pairs
+    is strictly lower.  The descent evaluates each walk of trial pairs
     coordinate_search builds with one G call; pairs_tested and both scales
-    count only the trials up to each plan's first accepted one, as a
+    count only the trials up to each segment's first accepted one, as a
     descent making one trial at a time would.
 
     Passes iff the minimum stays above -1e-10 (1 + scale)^2, where the
@@ -146,8 +146,8 @@ def check_cocoercive(
     tested = pairs
 
     # descend on the residual from the worst pair, one coordinate of one
-    # endpoint at a time; one G call gives a stack of trials' residuals and
-    # norms, and only the trials up to a plan's first accepted one count
+    # endpoint at a time; one G call gives a walk of trials' residuals and
+    # norms, and only the trials up to a segment's first accepted one count
     def evaluate(stack: np.ndarray) -> Matrix:
         b = len(stack)
         dg, dxy, vals, _ = _pair_differences(G, stack[:, 0], stack[:, 1])

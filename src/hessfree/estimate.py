@@ -22,13 +22,10 @@ calls, and it cannot be batched bit for bit: the normal and exponential
 samplers use a variable number of words per value, and integers keeps a
 buffered half word from one call to the next.  The batch is then probed
 as arrays by jensen_probe_batch, one call per point count n, and so is
-each stack of ascent trials that coordinate_search builds: a chain of
-plans, each the next sweep's worth of the schedule, the first from the
-current points and each later one from where the predicted outcome of
-the one before would leave them.  The ascent decides the plans in
-order, stops following the chain at the first outcome the prediction
-missed, and logs each decided plan up to its decisive row, so its
-trials, log and witness are those of one call per plan.
+each walk of ascent trials that coordinate_search builds from the sweep
+positions it guesses accepted.  The ascent logs each trial up to the
+first guess that missed, so its trials, log and witness are those of one
+trial at a time.
 Without a stop (estimate_L) the two-point phase is midpoint first:
 every pair of a batch is probed at t = 1/2 as one array, and only each
 batch's _REFINE best rows are scanned over t, the refined pairs of all
@@ -420,138 +417,81 @@ def coordinate_search(
     sweep without an accepted trial, through ASCENT_LEVELS levels.  At
     most steps trials are made; the current array is returned.
 
-    A plan is the next min(2 n d, chunk_rows(n d), steps left) trials of
-    the schedule, built from the current array as if none of them were
-    accepted: the rest of the sweep, then the start of the next sweep at
-    the level it would run at (but no trial past the last level).
-    decide(plan, rows) returns (j, verdict) for the plan's first decisive
-    row j: verdict True (the trial becomes current) or None (the search
-    ends), or (k - 1, False) when none of its k rows is decisive.  Rows
-    after j count as not made: the next plan starts at trial j + 1, so
-    the trials made are those of a decide shown one trial at a time.  A
-    plan decided with nothing accepted holds a whole window of rejected
-    trials (fewer only at the steps or the last level's end), not just
-    the tail of a sweep.
+    Along a ridge compass search accepts the same sweep positions in each
+    sweep, so a position is guessed accepted when its trial was accepted
+    in each of the last two sweeps.  One evaluate(stack) call covers a
+    walk, the next min(window 2**depth, cap, steps left) trials, each from
+    the trials before it guessed accepted, at the level the guesses give
+    its sweep, none past the last level: window is min(2 n d,
+    chunk_rows(n d)), cap one jensen_probe_batch chunk (chunk_rows(n n d)
+    rows) or the window if longer, and depth counts the walks in a row
+    decided as guessed.  rows[a:b] are the rows of stack[a:b].
 
-    evaluate(stack) returns the rows of a stack of trials, rows[a:b]
-    those of stack[a:b], and one call may cover several plans.  Along a
-    ridge the accepted rows repeat with a short period (4, 2, 4, 2, ... on
-    sc2: compass search following a ridge), so each call evaluates a
-    chain: the current plan, then the plans that follow if the outcomes
-    (the accepted row, or a plan rejected whole) go on repeating the
-    shortest period p <= n that their last 2 p show (none without one).
-    decide takes the plans in order, and the rest of the chain is dropped
-    at the first outcome that differs from the prediction, so decide sees
-    the (plan, rows) sequence of one evaluate call per plan.  A chain holds
-    at most chunk_rows(n n d) rows, one chunk of jensen_probe_batch, or
-    one plan where a plan is longer (as at d = 128), and predicts at most
-    depth plans past the current one: depth starts at 1, doubles after
-    each chain of that length
-    decided whole and goes back to 1 after a miss, so a broken pattern
-    wastes at most about the rows of the last chain that held.  When a
-    chained call raises, the current plan is evaluated alone, so only an
-    error in the rows of a plan that is decided surfaces."""
+    decide(segment, rows) sees the walk's segments in order, each ending
+    at a guessed-accepted trial and the last taking the rest, and returns
+    (j, verdict) for its first decisive row j: verdict True (the trial
+    becomes current) or None (the search ends), or (k - 1, False) when
+    none of its k rows is decisive.  The walk stops at the first segment
+    decided otherwise than guessed and the search goes on after its row j,
+    so the trials made are those of a decide shown one trial at a time.
+    When a walk's evaluate call raises, the window with no guesses is
+    evaluated from the same state and its error raised, so a trial that is
+    never made raises only inside that window."""
     current = np.array(start, dtype=np.float64)
     n, d = current.shape
     sweep = 2 * n * d
     signs = np.tile([1.0, -1.0], n * d)
     window = min(sweep, chunk_rows(current.size))
-    # a chain fills at most one chunk of jensen_probe_batch, whose
-    # (rows, n, n, d) differences take n n d entries a row: past that the
-    # kernel splits the call anyway, and the longer chain only holds more
     cap = max(window, chunk_rows(n * current.size))
     base = 0.5 * (1.0 + radius)
     # each level's step by the Python expression: numpy's ** on an array
     # of levels rounds some of them differently
     step_of = np.array([base * ASCENT_SHRINK**level for level in range(ASCENT_LEVELS)])
-
-    def after(level: int, pos: int, accepted: bool, j: int, verdict: bool) -> tuple[int, int, bool]:
-        """(level, position in the sweep, accepted in this sweep) after a
-        decision on row j of the plan built in the given state."""
-        if pos + j >= sweep:  # row j is in the next sweep: the rest of this one was rejected
-            level, pos, accepted = level + (not accepted), pos - sweep, False
-        pos += j + 1
-        accepted = accepted or verdict
+    hits = np.zeros(sweep, dtype=int)  # sweeps in a row, up to 2, that accepted each position
+    used = level = pos = depth = 0
+    accepted = False
+    while used < steps and level < ASCENT_LEVELS:
+        for guessed, size in ((hits == 2, min(window << depth, cap)), (np.zeros(sweep, bool), window)):
+            lap, m = np.divmod(np.arange(pos, pos + min(size, steps - used)), sweep)
+            lvl = level + (lap > 0) * (not (accepted or guessed[pos:].any()))
+            lvl += np.maximum(lap - 1, 0) * (not guessed.any())
+            size = np.count_nonzero(lvl < ASCENT_LEVELS)
+            m, lvl, guess = m[:size], lvl[:size], guessed[m[:size]]
+            # each trial's base is the current array plus the moves of the
+            # guessed trials before it (-0.0 adds nothing to any float,
+            # -0.0 included), so it equals the base one trial at a time
+            col, delta, moved = m // 2, signs[m] * step_of[lvl], np.flatnonzero(guess)
+            moves = np.full((len(moved) + 1, n * d), -0.0)
+            moves[0] = current.ravel()
+            moves[np.arange(1, len(moved) + 1), col[moved]] = delta[moved]
+            bases = np.add.accumulate(moves)
+            stack = bases[np.cumsum(guess) - guess].reshape(size, n, d)
+            stack.reshape(size, -1)[np.arange(size), col] += delta
+            try:
+                rows = evaluate(stack)
+                break
+            except Exception:
+                if size <= window and not guess.any():  # the plain window itself
+                    raise
+        a = 0
+        for e in [*(np.flatnonzero(guess[:-1]) + 1).tolist(), size]:
+            j, verdict = decide(stack[a:e], rows[a:e])
+            r = a + j
+            if verdict is None or r + 1 < e or verdict != guess[e - 1]:
+                break
+            a = e
+        depth = depth + 1 if r + 1 == size and verdict == guess[r] else 0
+        current = (stack[r] if verdict else bases[np.count_nonzero(guess[:r])].reshape(n, d)).copy()
+        if verdict is None:
+            return current
+        hits[m[:r]] = 2 * guess[:r]  # the same value at each repeat of a position
+        hits[m[r]] = min(hits[m[r]] + 1, 2) if verdict else 0
+        first = r - int(m[r])  # the walk row where row r's sweep starts
+        accepted = verdict or guess[max(first, 0) : r].any() or (first <= 0 and accepted)
+        level, pos, used = int(lvl[r]), int(m[r]) + 1, used + r + 1
         if pos == sweep:
             level += not accepted
             pos, accepted = 0, False
-        return level, pos, accepted
-
-    used = level = pos = 0
-    accepted = False
-    outcomes: list[int] = []  # each decision's accepted row, or -1 for a plan rejected whole
-    depth = 1  # plans a chain predicts past the current one
-    while used < steps and level < ASCENT_LEVELS:
-        period = next((outcomes[-p:] for p in range(1, n + 1)
-                       if len(outcomes) >= 2 * p and outcomes[-p:] == outcomes[-2 * p : -p]), [])
-        # the chain: each plan's state (level, pos, accepted, used), first
-        # row and size, built in the state the predicted outcome of the one
-        # before leaves, and that outcome with the row it decides on
-        states, firsts, sizes, guesses, links = [], [], [], [], []
-        state, total = (level, pos, accepted, used), 0
-        while state[3] < steps and state[0] < ASCENT_LEVELS:
-            k = min(window, steps - state[3])
-            if state[0] + (not state[2]) == ASCENT_LEVELS:
-                k = min(k, sweep - state[1])
-            if total + k > cap:
-                break
-            states.append(state)
-            firsts.append(total)
-            sizes.append(k)
-            total += k
-            o = period[len(guesses) % len(period)] if period else k
-            if len(guesses) == depth or o >= k:
-                break
-            j = k - 1 if o < 0 else o
-            guesses.append(o)
-            links.append(total - k + j)
-            state = (*after(*state[:3], j, o >= 0), state[3] + j + 1)
-        del guesses[len(states) - 1 :], links[len(states) - 1 :]  # guesses for a plan that did not fit
-        # the chain's stack in one pass: row r of a plan is the plan's base
-        # with coordinate m // 2 moved by signs[m] times the step of its
-        # sweep's level, and each base is the one before plus the move of
-        # its link if that is predicted accepted (-0.0 adds nothing to any
-        # float, -0.0 included)
-        lv, ps, acc, _ = np.array(states).T
-        plan = np.repeat(np.arange(len(states)), sizes)
-        lap, m = np.divmod(np.arange(total) - np.array(firsts)[plan] + ps[plan], sweep)
-        delta = signs[m] * step_of[np.where(lap, (lv + 1 - acc)[plan], lv[plan])]
-        moves = np.full((len(states), n * d), -0.0)
-        moves[0] = current.ravel()
-        moved = [t for t, o in enumerate(guesses) if o >= 0]
-        linked = [links[t] for t in moved]
-        moves[[t + 1 for t in moved], m[linked] // 2] = delta[linked]
-        stack = np.add.accumulate(moves)[plan]
-        stack[np.arange(total), m // 2] += delta
-        stack = stack.reshape(total, n, d)
-        try:
-            rows = evaluate(stack)
-        except Exception:
-            if len(states) == 1:
-                raise
-            del states[1:], guesses[:]
-            depth, rows = 1, evaluate(stack[: sizes[0]])
-        last = None  # the row of the chain's last accepted trial
-        for i in range(len(states)):
-            a, b = firsts[i], firsts[i] + sizes[i]
-            j, verdict = decide(stack[a:b], rows[a:b])
-            if verdict:
-                last = a + j
-            if verdict is None or i == len(guesses) or (j if verdict else -1, a + j) != (guesses[i], links[i]):
-                break
-        if last is not None:
-            current = stack[last].copy()
-        del stack, rows  # before the next chain's are built
-        if verdict is None:
-            return current
-        level, pos, accepted = after(*states[i][:3], j, verdict)
-        used = states[i][3] + j + 1
-        outcomes += guesses[:i]  # the plans before plan i went as predicted
-        outcomes.append(j if verdict else -1)
-        if i < len(guesses):  # a miss
-            depth = 1
-        elif len(guesses) == depth:
-            depth *= 2
     return current
 
 
@@ -568,17 +508,18 @@ def _ascend(
     increases.  A trial satisfying stop ends the search and is returned;
     otherwise the best probe is.
 
-    Each stack of trials is probed by one jensen_probe_batch call, and its
+    Each walk of trials is probed by one jensen_probe_batch call, and its
     rows carry each trial's candidate ratio, stop flag and probe numbers;
-    each plan is logged up to its decisive row.  Only the returned probe, a
-    stop hit or the final best, is re-evaluated through jensen_probe."""
+    each segment is logged up to its decisive row.  Only the returned
+    probe, a stop hit or the final best, is re-evaluated through
+    jensen_probe."""
     start_c = best_c = _candidate_ratio(start)
     w = start.config.weights
     hit = None
-    # the weights of a stack's at most chunk_rows(n d) rows and the point
-    # counts of a plan's at most 2 n d, built once
+    # the weights and point counts of a stack's at most chunk_rows(n d)
+    # rows, built once
     weights = np.broadcast_to(w.weights, (chunk_rows(start.config.points.size), start.config.n))
-    ns = [start.config.n] * (2 * start.config.points.size)
+    ns = [start.config.n] * len(weights)
 
     def evaluate(stack: np.ndarray) -> np.ndarray:
         batch = jensen_probe_batch(F, stack, weights[: len(stack)])

@@ -155,8 +155,8 @@ class TestCheckCocoercive:
         rep = check_cocoercive(G, 1.0, self.sampler(), np.random.default_rng(3), 400, ascent_steps=200)
         assert rep.pairs_tested - 400 > len(stacks) > 0
         assert calls == [(800, 2)] + [(2 * k, 2) for k in stacks]
-        assert max(plans) == 8  # one sweep of a (2, 2) pair
-        assert len(stacks) < len(plans)  # some calls evaluate a chain of plans
+        assert max(plans) == 8  # no segment here runs past one sweep of a (2, 2) pair
+        assert len(stacks) < len(plans)  # some calls evaluate a walk of several segments
 
     @pytest.mark.parametrize("name, params, known_l", ZOO_SLICES)
     def test_witness_replays(self, name, params, known_l):

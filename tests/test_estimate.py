@@ -741,7 +741,7 @@ class TestCoordinateSearch:
         """The trials a search makes when trial t is accepted with the
         t-th of a seeded run of verdicts, or ends it when t == stop_at:
         through _nested_search one trial at a time without stacks, else
-        through coordinate_search, recording each decided plan's size and
+        through coordinate_search, recording each decided segment's size and
         accounted rows in stacks."""
         verdicts = np.random.default_rng(seed).random(10_000) < p_accept
         trials = []
@@ -785,13 +785,14 @@ class TestCoordinateSearch:
     def test_limit_ends_mid_sweep_and_levels_run_out(self):
         # 7 trials stop inside the first 2 n d = 12-trial sweep of a 2x3
         # array, as a 7-row stack; rejecting everything ends after
-        # ASCENT_LEVELS sweeps of one stack each
+        # ASCENT_LEVELS sweeps, in walks that double while each is rejected
+        # whole as guessed: 12, 24 and 48 trials, then the 12 left
         mid_stacks, full_stacks = [], []
         mid, _ = self._trials((2, 3), 7, 0.0, None, 0, mid_stacks)
         full, _ = self._trials((2, 3), 10_000, 0.0, None, 0, full_stacks)
         assert len(mid) == 7 and mid_stacks == [(7, 7)]
         assert len(full) == ASCENT_LEVELS * 12
-        assert full_stacks == [(12, 12)] * ASCENT_LEVELS
+        assert full_stacks == [(12, 12), (24, 24), (48, 48), (12, 12)]
 
     def test_steps_end_inside_a_stack(self):
         # a sweep after an accepted trial is judged from the next trial on,
@@ -881,18 +882,18 @@ class TestAscentWindow:
     @pytest.mark.parametrize("accepts", [(3, 10, 14, 25, 30, 41), (0,), (5, 16, 27, 38, 49, 60, 71)])
     def test_calls_when_levels_run_out(self, accepts):
         # a 2x3 array sweeps 12 trials; the accepted trials are under 12
-        # apart, so each call up to the last accepted trial ends at it.  The
-        # rejections after it take one call for each of the ASCENT_LEVELS
-        # sweeps they run down, and one more for the rest of the last
-        # accepted trial's sweep unless that trial ended it (71 = 5 * 12 + 11)
+        # apart and no sweep position is accepted twice, so nothing is
+        # guessed and each call up to the last accepted trial ends at it.
+        # The rejections after it, the rest of its sweep and ASCENT_LEVELS
+        # sweeps, take walks of 12, 24 and 48 trials and one for the rest
         stacks = []
         _, made = self._search((2, 3), 10_000, set(accepts).__contains__, stacks)
         assert made == (max(accepts) // 12 + 1 + ASCENT_LEVELS) * 12  # the levels ran out
-        assert len(stacks) == len(accepts) + ASCENT_LEVELS + (max(accepts) % 12 != 11)
-        # every call but the last ends at an accepted trial or judges a
-        # whole window of 12 rejected ones
-        for stack, _, j, verdict in stacks[:-1]:
-            assert verdict or (j + 1 == len(stack) == 12)
+        assert len(stacks) == len(accepts) + 4
+        rest = 11 - max(accepts) % 12 + ASCENT_LEVELS * 12
+        assert [len(s) for s, _, _, _ in stacks[-4:]] == [12, 24, 48, rest - 84]
+        # every call but the last four ends at an accepted trial
+        assert all(verdict for _, _, _, verdict in stacks[:-4])
 
     def test_stack_across_a_sweep_end_carries_both_levels(self):
         # a 1x2 array sweeps 4 trials.  Trial 1 is accepted; the next stack
@@ -923,9 +924,13 @@ class TestAscentWindow:
     @pytest.mark.parametrize("elements", [1, 5, 40, 10**9])
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (4, 8)])
     def test_stacks_within_the_window(self, monkeypatch, shape, elements):
+        # the first walk, with nothing guessed yet, is decided whole: the
+        # window of min(2 n d, chunk_rows(n d)) trials.  No decided stack is
+        # longer than the walk cap or the steps left
         monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
         n, d = shape
-        cap = min(2 * n * d, max(1, elements // (n * d)))
+        window = min(2 * n * d, max(1, elements // (n * d)))
+        cap = max(window, max(1, elements // (n * n * d)))
         for p_accept in (0.0, 0.1, 0.5):
             verdicts = np.random.default_rng(3).random(10_000) < p_accept
             for steps in (9, 300):
@@ -933,7 +938,7 @@ class TestAscentWindow:
                 _, made = self._search(shape, steps, verdicts.__getitem__, stacks)
                 assert made <= steps
                 assert all(len(s) <= min(cap, steps - first) for s, first, _, _ in stacks)
-                assert max(len(s) for s, _, _, _ in stacks) == min(cap, steps)
+                assert len(stacks[0][0]) == min(window, steps)
 
     @pytest.mark.parametrize("elements", [1, 5, 7, 40])
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (4, 8)])
@@ -949,121 +954,121 @@ class TestAscentWindow:
                 assert np.array_equal(got_end, ref_end)
 
 
-def _one_plan_search(start, steps, radius, evaluate, decide):
-    """coordinate_search with each plan evaluated by itself, the reference
-    its chains of plans must match."""
-    current = np.array(start, dtype=np.float64)
-    n, d = current.shape
-    sweep = 2 * n * d
-    rows, cols = np.divmod(np.arange(n * d).repeat(2), d)
-    signs = np.tile([1.0, -1.0], n * d)
-    window = min(sweep, vecspace.chunk_rows(current.size))
-    base = 0.5 * (1.0 + radius)
-    used = level = pos = 0
-    accepted = False
-    while used < steps and level < ASCENT_LEVELS:
-        nxt = level + (not accepted)
-        k = min(window, steps - used)
-        if nxt == ASCENT_LEVELS:
-            k = min(k, sweep - pos)
-        lap, m = np.divmod(np.arange(pos, pos + k), sweep)
-        step = np.where(lap, base * ASCENT_SHRINK**nxt, base * ASCENT_SHRINK**level)
-        stack = np.repeat(current[None], k, axis=0)
-        stack[np.arange(k), rows[m], cols[m]] += signs[m] * step
-        j, verdict = decide(stack, evaluate(stack))
-        if verdict is None:
-            return current
-        if lap[j]:
-            level, pos, accepted = nxt, pos - sweep, False
-        pos += j + 1
-        used += j + 1
-        if verdict:
-            current, accepted = stack[j].copy(), True
-        if pos == sweep:
-            level += not accepted
-            pos, accepted = 0, False
-    return current
-
-
 class TestSpeculativeChain:
-    """coordinate_search evaluates the current plan and the plans a
-    predicted run of decisions would make next in one call, and decide
-    sees what one evaluate call per plan shows it."""
+    """coordinate_search evaluates a walk of trials in one call, each trial
+    built from the ones before it that are guessed accepted, and decide
+    accounts for the trials _nested_search makes one trial at a time."""
 
     @staticmethod
-    def _stream(kind, n, seed=0):
-        """outcome(q, k): the q-th decision on a k-row plan, as the row it
-        accepts or None for a plan rejected whole.  Periodic streams break
-        their pattern every 23rd decision and reject every 31st plan whole,
-        so chains miss too."""
-        pattern = {"period_1": [1], "period_2": [3, 0], "period_n": [2, 0, 5, 1][:n]}.get(kind)
-        rng = np.random.default_rng(seed)
-
-        def outcome(q, k):
-            if pattern is None:  # a seeded random stream
-                j = int(rng.integers(0, k + 1))
-                return None if j == k else j
-            if q % 31 == 30:
-                return None
-            j = pattern[q % len(pattern)] + (q % 23 == 22)
-            return j if j < k else None
-
-        return outcome
+    def _stream(kind, shape, seed=0):
+        """accept(t): whether the t-th trial made is accepted.  period_1
+        repeats every sweep, so the same positions are accepted in each;
+        period_2 repeats every two sweeps, so some positions are accepted
+        only in every other one; period_n repeats every sweep plus n
+        trials, so the positions drift.  Each of these flips every 97th
+        trial, so guesses miss too.  random is a seeded run of verdicts."""
+        n, d = shape
+        if kind == "random":
+            return (np.random.default_rng(seed).random(10_000) < 0.3).__getitem__
+        period = {"period_1": 2 * n * d, "period_2": 4 * n * d, "period_n": 2 * n * d + n}[kind]
+        marks = {(seed + k * period // 3) % period for k in range(3)}
+        return lambda t: (t % period in marks) != (t % 97 == 96)
 
     @staticmethod
-    def _run(search, shape, steps, outcome, stop_at=None, evaluate=None, decided=None):
-        """search from a seeded start with a decide driven by outcome,
-        stopping at decision stop_at; returns the decided (plan, rows)
-        pairs (appended to decided when given), the evaluate calls' sizes
-        and the end array."""
-        decided, calls = [] if decided is None else decided, []
+    def _run(shape, steps, accept, stop_at=None, nested=False, evaluate=None, calls=None, trials=None):
+        """The trials made from a seeded start (appended to trials when
+        given) and the end array when trial t ends the search if
+        t == stop_at and is accepted if accept(t): through _nested_search if
+        nested, else through coordinate_search, whose evaluate calls' sizes
+        go to calls."""
+        trials = [] if trials is None else trials
+
+        def verdict(trial):
+            trials.append(trial.copy())
+            t = len(trials) - 1
+            return None if t == stop_at else bool(accept(t))
 
         def evaluating(stack):
-            calls.append(len(stack))
+            if calls is not None:
+                calls.append(len(stack))
             return 2.0 * stack if evaluate is None else evaluate(stack)
 
         def decide(stack, rows):
-            decided.append((stack.copy(), rows.copy()))
-            q, k = len(decided) - 1, len(stack)
-            if q == stop_at:
-                return min(1, k - 1), None
-            j = outcome(q, k)
-            return (k - 1, False) if j is None else (j, True)
+            assert np.array_equal(rows, 2.0 * stack)  # rows[a:b] are stack[a:b]'s
+            for j, trial in enumerate(stack):
+                v = verdict(trial)
+                if v is None or v:
+                    break
+            return j, v
 
         start = np.random.default_rng(11).standard_normal(shape)
-        return decided, calls, search(start, steps, 2.0, evaluating, decide)
+        if nested:
+            return trials, _nested_search(start, steps, 2.0, verdict)
+        return trials, coordinate_search(start, steps, 2.0, evaluating, decide)
+
+    @classmethod
+    def _same_as_nested(cls, shape, steps, accept, stop_at=None, calls=None):
+        ref, ref_end = cls._run(shape, steps, accept, stop_at, nested=True)
+        got, got_end = cls._run(shape, steps, accept, stop_at, calls=calls)
+        assert len(got) == len(ref) <= steps
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert np.array_equal(got_end, ref_end)
+        return ref
 
     @pytest.mark.parametrize("stop_at", [None, 40])
     @pytest.mark.parametrize("kind", ["period_1", "period_2", "period_n", "random"])
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (4, 8)])
     def test_decides_as_one_plan_per_evaluate(self, shape, kind, stop_at):
+        # the decided trials, their order and the end array are those of
+        # one trial at a time (and of one window per evaluate call, which
+        # made the same trials)
         for steps in (60, 2000):
             for seed in range(2):
-                runs = [self._run(search, shape, steps, self._stream(kind, shape[0], seed), stop_at)
-                        for search in (_one_plan_search, coordinate_search)]
-                (ref, ref_calls, ref_end), (got, got_calls, got_end) = runs
-                assert len(got) == len(ref) == len(ref_calls)
-                for (plan, rows), (ref_plan, ref_rows) in zip(got, ref):
-                    assert np.array_equal(plan, ref_plan) and np.array_equal(rows, ref_rows)
-                assert np.array_equal(got_end, ref_end)
-                if len(got) >= 100 and kind != "random":
-                    assert len(got_calls) < len(got)  # chains were taken
+                calls = []
+                ref = self._same_as_nested(shape, steps, self._stream(kind, shape, seed), stop_at, calls)
+                if stop_at is None or shape == (1, 1):  # a 1x1 array may run out of levels first
+                    assert len(ref) <= (steps if stop_at is None else stop_at + 1)
+                else:
+                    assert len(ref) == stop_at + 1
+                if kind == "period_1" and len(ref) == 2000:
+                    assert max(calls) > 2 * shape[0] * shape[1]  # walks longer than a sweep
 
     def test_period_two_stream_takes_few_calls(self):
-        outcome = lambda q, k: (3, 1)[q % 2]
-        decided, calls, _ = self._run(coordinate_search, (2, 3), 3000, outcome)
-        assert len(decided) == 1000  # 3000 steps, every decision accepting after 4 or 2 trials
-        assert len(calls) <= len(decided) / 8
+        # a 2x3 array sweeps 12 trials; accepting positions 3 and 8 of each
+        # sweep decides 5 and 7 trials apart.  Once both are guessed, walks
+        # double up to one jensen_probe_batch chunk, so few rows past the
+        # 3 000 trials are evaluated (evaluating each plan of up to 12
+        # trials whole took 5 999 rows in 16 calls)
+        calls = []
+        ref = self._same_as_nested((2, 3), 3000, lambda t: t % 12 in (3, 8), calls=calls)
+        assert len(ref) == 3000
+        assert sum(calls) <= 1.1 * 3000
+        assert len(calls) <= 20
+
+    def test_guess_needs_two_sweeps_in_a_row(self):
+        # a 2x3 array sweeps 12 trials; position 3 is accepted in every
+        # sweep, position 8 in sweeps 0 and 2 only (trials 8 and 32).  So 3
+        # is guessed from sweep 2 on and 8 never, and the last walk, trials
+        # 45-59, goes as guessed: a segment ending at trial 51, then one
+        # rejected whole.  Had the rejection at trial 20 not cleared
+        # position 8, trials 44 and 56 would be guessed and missed
+        stacks = []
+        TestAscentWindow._search((2, 3), 60, lambda t: t % 12 == 3 or t in (8, 32), stacks)
+        assert [(first, len(s), j, verdict) for s, first, j, verdict in stacks] == [
+            (0, 12, 3, True), (4, 12, 4, True), (9, 12, 6, True), (16, 12, 11, True), (28, 12, 4, True),
+            (33, 7, 6, True), (40, 5, 4, False), (45, 7, 6, True), (52, 8, 7, False)]
 
     def test_error_in_an_undecided_plan_does_not_surface(self):
-        shape, steps = (2, 3), 2000
-        outcome = self._stream("period_2", 2)
-        ref, _, ref_end = self._run(_one_plan_search, shape, steps, outcome)
-        seen = []
-        self._run(coordinate_search, shape, steps, outcome, evaluate=lambda s: seen.append(s.copy()) or 2.0 * s)
-        decided = {row.tobytes() for plan, _ in ref for row in plan}
-        undecided = [row for stack in seen for row in stack if row.tobytes() not in decided]
-        assert undecided  # some chain ran past a miss
+        # positions 3 and 8 of a 2x3 array are accepted in sweeps 0-4, then
+        # only 3: in sweep 5 the guess at 8 misses, and the walk's trial at
+        # 10, built on the guessed move at 8, is never made
+        shape, steps, step = (2, 3), 400, 0.5 * (1.0 + 2.0)
+        accept = lambda t: t % 12 == 3 or (t % 12 == 8 and t < 60)
+        ref = self._same_as_nested(shape, steps, accept)
+        unmade = ref[63].copy()  # the accepted trial at position 3 of sweep 5
+        unmade[1, 1] += step  # position 8
+        unmade[1, 2] += step  # position 10
+        assert not any(np.array_equal(unmade, t) for t in ref)
 
         def poisoned(row):
             def evaluate(stack):
@@ -1072,31 +1077,33 @@ class TestSpeculativeChain:
                 return 2.0 * stack
             return evaluate
 
-        got, _, got_end = self._run(coordinate_search, shape, steps, outcome, evaluate=poisoned(undecided[0]))
-        assert len(got) == len(ref)
-        assert all(np.array_equal(a[0], b[0]) for a, b in zip(got, ref))
-        assert np.array_equal(got_end, ref_end)
-        # a row of a decided plan raises, after the decisions one plan at a
-        # time makes before it
-        row = ref[30][0][2]
-        before = []
-        for search in (_one_plan_search, coordinate_search):
-            before.append([])
+        seen = []
+        self._run(shape, steps, accept, evaluate=lambda s: seen.append(s.copy()) or 2.0 * s)
+        assert any(np.array_equal(unmade, r) for stack in seen for r in stack)
+        got, got_end = self._run(shape, steps, accept, evaluate=poisoned(unmade))
+        assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert np.array_equal(got_end, self._run(shape, steps, accept, nested=True)[1])
+        # an error in a trial that is made raises with the trials before
+        # the window holding it decided, as made one at a time
+        for t in (30, 100, 250):
+            got = []
             with pytest.raises(ValueError, match="poisoned row"):
-                self._run(search, shape, steps, outcome, evaluate=poisoned(row), decided=before[-1])
-        assert len(before[1]) == len(before[0]) > 0
-        assert all(np.array_equal(a[0], b[0]) for a, b in zip(*before))
+                self._run(shape, steps, accept, evaluate=poisoned(ref[t]), trials=got)
+            assert len(got) <= t < len(got) + 12
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
     @pytest.mark.parametrize("elements", [1, 5, 40, 1 << 14])
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 8)])
     def test_calls_within_chunk_rows(self, monkeypatch, shape, elements):
         monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", elements)
         n, d = shape
-        # one jensen_probe_batch chunk, or one plan where that is longer
+        # one jensen_probe_batch chunk, or the window where that is longer
         cap = max(min(2 * n * d, vecspace.chunk_rows(n * d)), vecspace.chunk_rows(n * n * d))
         assert cap <= vecspace.chunk_rows(n * d)
-        for kind in ("period_1", "period_2", "random"):
-            _, calls, _ = self._run(coordinate_search, shape, 2000, self._stream(kind, n))
-            assert max(calls) <= cap
-            if elements == 1 << 14 and kind == "period_1":
-                assert max(calls) > 2 * n * d  # more than one plan
+        for kind in ("period_1", "period_n", "random"):
+            for stop_at in (None, 40):
+                calls = []
+                self._same_as_nested(shape, 2000, self._stream(kind, shape), stop_at, calls)
+                assert max(calls) <= cap
+                if elements == 1 << 14 and kind == "period_1" and stop_at is None:
+                    assert max(calls) > 2 * n * d  # walks longer than a sweep

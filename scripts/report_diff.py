@@ -6,7 +6,7 @@ every report field that differs.
         [--oracles sc2 sc8 ...] [--work DIR] [-- extra hessfree flags]
 
 For every zoo oracle and seed, `estimate`, `falsify` (at L/2), `verify`
-(at L and at L/2) and `slices` (at L) run with `--out`, and all but
+and `slices` (each at L and at L/2) run with `--out`, and all but
 `slices`, which runs no probe search, with `--csv`.  The convexity-split,
 cocoercivity and smoothness witnesses only appear in `verify` below the
 constant.  Each run is its own
@@ -15,12 +15,13 @@ Reports are compared field by field, ignoring `wall_time_s` and the
 output paths; CSV files, exit codes and stderr are compared whole, and a
 run whose exit code or stderr moved still has its report and CSV
 compared.  Each run of a closed-form map also has an expected exit:
-`estimate`, and `verify` and `slices` at L, exit 0; `falsify` and
-`verify` at L/2 exit 1 on a nonzero map and 0 on a zero-constant one.  A
-run off its expected exit is printed for each tree it happens on, so a
-failure both trees share shows too.  The exit status is 1 when anything
-differs or a run is off its expected exit, and 0 otherwise.  Flags after
-`--` go to every run, for example smaller budgets.
+`estimate`, and `verify` and `slices` at L, exit 0; `falsify`, and
+`verify` and `slices` at L/2, exit 1 on a nonzero map and 0 on a
+zero-constant one.  A run off its expected exit is printed for each tree
+it happens on, so a failure both trees share shows too.  The exit status
+is 1 when anything differs or a run is off its expected exit, and 0
+otherwise.  Flags after `--` go to every run, for example smaller
+budgets.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ RUNS = {
     "verify": ("verify", 1.0),
     "verify_half": ("verify", 0.5),
     "slices": ("slices", 1.0),
+    "slices_half": ("slices", 0.5),
 }
 # name -> (oracle, params, L): L is known_L for the CLOSED_FORM names
 ZOO = {

@@ -44,8 +44,9 @@ from .estimate import (
     stream_rng,
 )
 from .oracles import DomainSampler, as_vector_oracle, builtin, fd_jacobian
-# derivative_norm_via_functionals is not called here (cmd_slices takes the
-# pair norms from sampled_norm); the name stays for perfbench's span tracer
+# derivative_norm_via_functionals is not called here (cmd_slices takes each
+# pair's norm from one SVD of its difference matrix); the name stays for
+# perfbench's span tracer
 from .slices import (  # noqa: F401
     L_FLOOR,
     lipschitz_bound,
@@ -53,14 +54,12 @@ from .slices import (  # noqa: F401
     difference_matrix,
     functional_sup_ratio,
     reconstruct_derivative_action,
-    sampled_norm,
     slice_gradient_map,
     slice_map,
     slice_smoothness_check,
-    unit_directions,
     unit_functional_set,
 )
-from .vecspace import norm2, row_norms
+from .vecspace import chunk_rows, row_norms
 
 
 class _Option(NamedTuple):
@@ -95,7 +94,7 @@ _OPTIONS = {
     "domain_radius": _Option(float, SearchBudget.domain_radius,
                              ((lambda v: math.isfinite(v) and v > 0.0), "finite and > 0"),
                              "radius of the sampled domain", budget="domain_radius"),
-    "n_functionals": _Option(int, 8, _at_least(1), "unit functionals per check"),
+    "n_functionals": _Option(int, 8, _at_least(1), "unit functionals per check", commands=("verify",)),
     "pairs": _Option(int, 400, _at_least(1), "pair budget for the check suites"),
     "fd_pairs": _Option(int, 10_000, _at_least(1), "pairs in the finite-difference cross-check"),
     "out": _Option(str, None, None, "report JSON path (stdout when omitted)"),
@@ -377,33 +376,24 @@ def cmd_verify(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     return results, verdicts, 0 if verdicts["all"] else 1
 
 
-# pairs per cmd_slices chunk: a chunk holds each pair's 1000 drawn sup
-# functionals and their products with its difference matrix (64 KB each
-# at m = d = 8), about 2.5 MB on sc8.  A pair count, as chunk_rows(1000 m)
-# cut it to 2 pairs on sc8, where slices went 0.171 -> 0.252 s in-process,
-# slower on 6 of 6 seeds (2-core VM)
-_PAIR_CHUNK = 16
-
-
 def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
     F = as_vector_oracle(oracle)
     rng = stream_rng(cfg.seed, STREAM_CHECKS, 2)
     sampler = DomainSampler(F.dim_in, cfg.domain_radius)
-    n_norm = cfg.n_functionals * 8
 
-    # Both loops run _PAIR_CHUNK pairs at a time.  Each pair draws from rng
-    # in the order a pair-by-pair loop would (x, h, h2, alpha; then x, y
-    # and, for a pair at least 1e-9 apart, its norm functionals, its
-    # directions and its 1000 sup functionals), so the report depends
-    # only on (seed, budget) and not on the chunk size.
+    # Both loops run chunk_rows(m d) pairs at a time, one (m, d) matrix
+    # per pair, and draw from rng in the order a pair-by-pair loop would
+    # (x, h, h2, alpha; then x, y), so the report depends only on (seed,
+    # budget) and not on the chunk size.
+    chunk = chunk_rows(F.dim_out * F.dim_in)
 
     # reconstruction vs the coordinate-step FD Jacobian, and linearity:
     # additivity and homogeneity of h -> F'(x) h
     worst_rel = 0.0
     worst_lin = 0.0
-    for start in range(0, cfg.pairs, _PAIR_CHUNK):
+    for start in range(0, cfg.pairs, chunk):
         draws = []
-        for _ in range(min(_PAIR_CHUNK, cfg.pairs - start)):
+        for _ in range(min(chunk, cfg.pairs - start)):
             x = sampler.gaussian(rng)
             h = rng.standard_normal(F.dim_in)
             h2 = rng.standard_normal(F.dim_in)
@@ -420,35 +410,26 @@ def cmd_slices(cfg: RunConfig, oracle, log: ProbeLog) -> tuple[dict, dict, int]:
         hom = row_norms(scaled - alphas[:, None] * rec) / scale
         worst_lin = max(worst_lin, float(add.max()), float(hom.max()))
 
-    # Lipschitz transfer plus how well sampled unit functionals attain
-    # the operator norm (checked with 1000 functionals per pair); both
-    # share each pair's difference matrix and its exact spectral norm
+    # Lipschitz transfer and the paper's slice step, for pairs at least
+    # 1e-9 apart.  One SVD of each difference matrix gives its exact norm
+    # sigma_1 and the functional u_1 that norms it (its top left singular
+    # vector).  The slice <u_1, F> must realize sigma_1 along the
+    # independent coordinate-step FD route, u_1^T (J(x) - J(y)).
     worst_transfer = -np.inf
     worst_realization = np.inf
-    sup_fs = np.empty((_PAIR_CHUNK, 1000, F.dim_out))
-    for start in range(0, cfg.pairs, _PAIR_CHUNK):
-        draws = []
-        for _ in range(min(_PAIR_CHUNK, cfg.pairs - start)):
-            x = sampler.gaussian(rng)
-            y = sampler.gaussian(rng)
-            dist = norm2(x - y)
-            if dist < 1e-9:
-                continue
-            draws.append((x, y, dist,
-                          unit_functional_set(F.dim_out, n_norm, rng),
-                          unit_directions(rng, n_norm, F.dim_in)))
-            sup_fs[len(draws) - 1] = unit_functional_set(F.dim_out, 1000, rng)
-        if not draws:
+    for start in range(0, cfg.pairs, chunk):
+        pts = sampler.gaussian(rng, 2 * min(chunk, cfg.pairs - start))
+        dists = row_norms(pts[0::2] - pts[1::2])
+        keep = dists >= 1e-9
+        if not keep.any():
             continue
-        xs, ys, dists, norm_fs, dirs = (np.array(a) for a in zip(*draws))
-        diffs = difference_matrix(F, xs, ys)
-        norms = np.linalg.norm(diffs, 2, axis=(1, 2))
-        nrm = sampled_norm(diffs, norm_fs, dirs, norms)
+        xs, ys, dists = pts[0::2][keep], pts[1::2][keep], dists[keep]
+        u, s, _ = np.linalg.svd(difference_matrix(F, xs, ys), full_matrices=False)
         bound = lipschitz_bound("lipschitz_transfer", cfg.L, dists, 1e-3)
-        worst_transfer = max(worst_transfer, float((nrm - bound).max()))
-        worst_realization = min(
-            worst_realization, float(functional_sup_ratio(diffs, sup_fs[: len(draws)], norms).min())
-        )
+        worst_transfer = max(worst_transfer, float((s[:, 0] - bound).max()))
+        grad_diffs = fd_jacobian(F, xs) - fd_jacobian(F, ys)
+        ratios = functional_sup_ratio(grad_diffs, u[:, None, :, 0], s[:, 0])
+        worst_realization = min(worst_realization, float(ratios.min()))
 
     # both stay at their starting infinities when every pair was closer
     # than 1e-9, and a check that tested no pair has not passed

@@ -4,16 +4,16 @@ A slice of F: R^d -> R^m by a functional y* (a coefficient vector in R^m
 under the Euclidean pairing) is the scalar map phi(x) = <y*, F(x)>.  In
 finite dimensions the derivative action F'(x) h can be reassembled from
 the m basis slices, and the operator norm ||F'(x) - F'(y)|| equals the
-sup of <y*, (F'(x) - F'(y)) h> over unit y* and unit h — realized here
-empirically over sampled unit functionals and taken exactly as the
-largest singular value of the explicitly assembled difference matrix.
+sup of <y*, (F'(x) - F'(y)) h> over unit y* and unit h.  On the
+explicitly assembled difference matrix the sup is its largest singular
+value, attained at its top left singular vector: the norming functional.
 
 The finite-difference kernels (reconstruct_derivative_action,
 difference_matrix) take one point or a (B, d) stack, and a stack's rows
-equal the one-point calls bit for bit.  The two pair checks (sampled_norm,
-functional_sup_ratio) work on difference matrices and exact norms already
-built, so a caller checking a stack of pairs builds each pair's matrix and
-spectral norm once and shares them between the checks.
+equal the one-point calls bit for bit.  The pair checks (sampled_norm,
+functional_sup_ratio) work on matrices and norms already built, so a
+caller checking a stack of pairs builds each pair's matrices and norm
+once.
 """
 
 from __future__ import annotations
@@ -233,13 +233,15 @@ def derivative_norm_via_functionals(
 
 
 def functional_sup_ratio(diff: np.ndarray, functionals: np.ndarray, norm):
-    """How much of the operator norm the sampled unit functionals
-    realize: max over the functionals y* of ||D^T y*||, divided by the
-    exact spectral norm given (1.0 where that is at most SMOOTHNESS_ATOL,
-    FD noise of a numerically zero difference).  With the direction h
-    optimized exactly per functional, this isolates how well the sampled
-    dual ball attains the sup defining the norm.  One matrix (m, d) with functionals (K, m) gives
-    a float; stacks (B, m, d), (B, K, m) and (B,) norms give (B,)."""
+    """How much of the norm given the unit functionals realize: max over
+    the functionals y* of ||D^T y*||, divided by the norm (1.0 where that
+    is at most SMOOTHNESS_ATOL, FD noise of a numerically zero
+    difference).  With D = J(x) - J(y) from fd_jacobian, y*^T D is the FD
+    gradient difference of the slice <y*, F>, so at the norming
+    functional of the difference matrix and its largest singular value
+    this checks the paper's slice step along an independent FD route.
+    One matrix (m, d) with functionals (K, m) gives a float; stacks
+    (B, m, d), (B, K, m) and (B,) norms give (B,)."""
     yd = functionals @ diff
     sups = np.sqrt(np.einsum("...ij,...ij->...i", yd, yd)).max(axis=-1)
     zero = norm <= SMOOTHNESS_ATOL

@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,38 @@ class TestSlicesCommand:
         assert rep["verdicts"]["lipschitz_transfer"] is False
         assert rep["verdicts"]["functional_sup_realization"] is False
 
+    @pytest.mark.parametrize("d", [4, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [5, 42])
+    def test_rotated_cubic(self, d, seed, tmp_path, monkeypatch):
+        # F = Q grad g(Q^T x) for g = separable_cubic c = (3, 1, ..., 1):
+        # F'(x) - F'(y) = Q diag(c (Q^T (x - y))) Q^T is dense, so no
+        # basis functional norms it, and L = 3
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
+        grad = builtin("separable_cubic", [3.0] + [1.0] * (d - 1)).gradient
+        F = VectorOracle(d, d, lambda x: grad(np.asarray(x) @ q) @ q.T, "rotated_cubic", 3.0)
+        monkeypatch.setattr(cli, "builtin", lambda name, params: F)
+        out = tmp_path / "s.json"
+        argv = ["slices", "--oracle", "rotated_cubic", "--seed", str(seed), "--out", str(out)]
+        assert run(argv + ["--L", "3"]) == 0
+        assert load(out)["results"]["min_functional_sup_realization"] >= 0.99
+        assert run(argv + ["--L", "1.5"]) == 1
+        verdicts = load(out)["verdicts"]
+        assert {k for k, v in verdicts.items() if not v} == {"lipschitz_transfer", "all"}
+
+    def test_working_set_at_d128(self, tmp_path):
+        # measured peak 3.3 MB; a (16, 1000, 128) buffer of sampled
+        # functionals would take 16 MB alone
+        argv = ["slices", "--oracle", "separable_cubic", "--params", "3", *["1"] * 127, "--L", "3",
+                "--seed", "1", "--pairs", "4", "--out", str(tmp_path / "s.json")]
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8e6
+
     def test_csv_flag_rejected(self, tmp_path, capsys):
         # slices runs no probe search, so it has no probe log to write
         out, path = tmp_path / "s.json", tmp_path / "s.csv"
@@ -221,27 +254,27 @@ class TestReportEncoding:
 class TestPinnedCheckReports:
     """Exact check-suite results at small budgets, seed 42: a change to
     these numbers is a change to the checks.  The slices transfer excess
-    and sup realization of poly_map_2d rest on the exact spectral norm; a
-    power iteration gave -0.01757083571404472 and 0.9999965073008865."""
+    reads each pair's top singular value, and the sup realization the
+    slice along its top left singular vector."""
 
     CASES = {
         "sc2": (["--oracle", "separable_cubic", "--params", "3", "1", "--L", "3.0"],
                 (-0.0018325302313737524, 1.6528735159226926e-05,
                  -0.014503454783493908, -0.005519597559498379),
                 (4.5177017571951724e-11, 2.782355204183502e-10,
-                 -0.03069784859512481, 1.0)),
+                 -0.0343260120849731, 0.999999999978931)),
         "poly_map_2d": (["--oracle", "poly_map_2d", "--L", "2.0"],
                         (-0.001221686820915835, 1.1026509127987083e-05,
                          -0.006445980588551947, -0.0036797350396646777),
                         (2.6321992330450198e-11, 4.91664836840901e-11,
-                         -0.017570845711007976, 0.9999965073008242)),
-        # m = d = 8: the slices pairs run as a chunk of 16 and one of 4
+                         -0.018513095629048237, 0.9999999999803085)),
+        # m = d = 8: the 20 slices pairs run as one chunk (chunk_rows(64) is 256)
         "sc8": (["--oracle", "separable_cubic", "--params", "3", "1", "0.5", "2", "1", "1",
                  "0.25", "1.5", "--L", "3.0"],
                 (-1.2072397475014114, 0.9804713433383079,
                  -32.0650614525581, -3.409250643591051),
                 (3.48298899702566e-11, 9.8575655391603e-11,
-                 -6.483911133984545, 1.0)),
+                 -4.501954247069239, 0.9999999999753022)),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -284,7 +317,7 @@ class TestBadInput:
         (["falsify", "--oracle", "cubic1d", "--params", "1", "--claimed-L", "-1"], "claimed_L"),
         (["verify", "--oracle", "cubic1d", "--params", "1", "--L", "1", "--n-functionals", "0"],
          "n_functionals"),
-        (["slices", "--oracle", "poly_map_2d", "--L", "2.0", "--n-functionals", "0"],
+        (["verify", "--oracle", "poly_map_2d", "--L", "2.0", "--n-functionals", "0"],
          "n_functionals"),
         (["estimate", "--oracle", "cubic1d", "--params", "1", "--fd-pairs", "0"], "fd_pairs"),
         (["estimate", "--oracle", "cubic1d", "--params", "1", "--domain-radius", "0"],
@@ -417,6 +450,9 @@ class TestBadInput:
         ("verify", "claimed_L", 1.0),
         ("slices", "claimed_L", 1.0),
         ("slices", "csv", "p.csv"),
+        ("estimate", "n_functionals", 2),
+        ("falsify", "n_functionals", 2),
+        ("slices", "n_functionals", 2),
     ])
     def test_config_key_the_command_does_not_take(self, command, key, value, tmp_path, capsys):
         # the value would be range-checked, echoed in config and ignored
@@ -495,11 +531,11 @@ class TestOptionSurface:
 
     COMMON = {
         "-h", "--help", "--config", "--oracle", "--params", "--seed", "--budget-configs",
-        "--budget-pairs", "--budget-ascent", "--max-n", "--domain-radius", "--n-functionals",
-        "--pairs", "--fd-pairs", "--out",
+        "--budget-pairs", "--budget-ascent", "--max-n", "--domain-radius", "--pairs", "--fd-pairs",
+        "--out",
     }
-    EXTRA = {"estimate": {"--csv"}, "falsify": {"--claimed-L", "--csv"}, "verify": {"--L", "--csv"},
-             "slices": {"--L"}}
+    EXTRA = {"estimate": {"--csv"}, "falsify": {"--claimed-L", "--csv"},
+             "verify": {"--L", "--csv", "--n-functionals"}, "slices": {"--L"}}
 
     def test_flags_per_command(self):
         parser = cli._build_parser()
@@ -507,6 +543,18 @@ class TestOptionSurface:
         assert set(sub.choices) == set(self.EXTRA)
         for name, p in sub.choices.items():
             assert {f for a in p._actions for f in a.option_strings} == self.COMMON | self.EXTRA[name]
+
+    @pytest.mark.parametrize("command, level", [("estimate", []), ("falsify", ["--claimed-L", "1"]),
+                                                ("slices", ["--L", "2"])])
+    def test_n_functionals_flag_rejected(self, command, level, tmp_path, capsys):
+        # only verify draws functionals; slices takes its norming ones from an SVD
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--oracle", "poly_map_2d", "--seed", "1", *level, "--n-functionals", "8",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-functionals 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_defaults(self):
         assert cli._DEFAULTS == {

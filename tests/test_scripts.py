@@ -54,10 +54,10 @@ class TestReportDiff:
         mod = _load("report_diff")
         src = str(Path(__file__).resolve().parent.parent / "src")
         tiny = ["--budget-configs", "20", "--budget-pairs", "8", "--budget-ascent", "10",
-                "--pairs", "4", "--fd-pairs", "20", "--n-functionals", "2"]
+                "--pairs", "4", "--fd-pairs", "20"]
         argv = [src, src, "--oracles", "poly_map_2d", "--seeds", "5", "--work", str(tmp_path), "--", *tiny]
         assert mod.main(argv) == 0
-        assert capsys.readouterr().out == "5 runs per tree, 0 differences\n"
+        assert capsys.readouterr().out == "6 runs per tree, 0 differences\n"
         assert mod.compare(tmp_path / "old", tmp_path / "new") == []
 
         new = tmp_path / "new"
@@ -106,8 +106,8 @@ def _plant_runs(mod, tmp_path, monkeypatch, plant):
 class TestReportDiffExits:
     def test_expected_exits(self):
         mod = _load("report_diff")
-        assert [mod.expected_exit("sc8", run) for run in mod.RUNS] == [0, 1, 0, 1, 0]
-        assert [mod.expected_exit("quadratic8", run) for run in mod.RUNS] == [0, 0, 0, 0, 0]
+        assert [mod.expected_exit("sc8", run) for run in mod.RUNS] == [0, 1, 0, 1, 0, 1]
+        assert [mod.expected_exit("quadratic8", run) for run in mod.RUNS] == [0, 0, 0, 0, 0, 0]
         assert mod.expected_exit("rosenbrock", "estimate") is None
 
     def test_shared_failure_flagged(self, tmp_path, monkeypatch, capsys):
@@ -120,7 +120,7 @@ class TestReportDiffExits:
         assert capsys.readouterr().out.splitlines() == [
             "old poly_map_2d-5-slices: exit 1, expected 0; stderr ''",
             "new poly_map_2d-5-slices: exit 1, expected 0; stderr ''",
-            "5 runs per tree, 0 differences, 2 off their expected exit",
+            "6 runs per tree, 0 differences, 2 off their expected exit",
         ]
 
     def test_exit_change_lists_moved_fields(self, tmp_path, monkeypatch, capsys):
@@ -136,14 +136,14 @@ class TestReportDiffExits:
             "poly_map_2d-5-falsify: run {'exit': 1, 'stderr': ''} -> {'exit': 0, 'stderr': ''}",
             "poly_map_2d-5-falsify: results.y.0: 2.0 -> 3.0",
             "new poly_map_2d-5-falsify: exit 0, expected 1; stderr ''",
-            "5 runs per tree, 2 differences, 1 off their expected exit",
+            "6 runs per tree, 2 differences, 1 off their expected exit",
         ]
 
 
 class TestRssByDim:
     def test_smoke(self, capsys):
         tiny = ["--budget-configs", "20", "--budget-pairs", "8", "--budget-ascent", "10",
-                "--pairs", "4", "--fd-pairs", "20", "--n-functionals", "2"]
+                "--pairs", "4", "--fd-pairs", "20"]
         assert _load("rss_by_dim").main(["--dims", "2", "3", "--", *tiny]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["command", "d", "exit", "maxrss_mb", "wall_s"]

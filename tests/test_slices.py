@@ -6,6 +6,7 @@ import pytest
 
 from hessfree.cli import main
 from hessfree.estimate import STREAM_CHECKS, stream_rng
+from hessfree import vecspace
 from hessfree.oracles import FD_VALUE_STEP, DomainSampler, as_vector_oracle, builtin, fd_jacobian
 from hessfree.slices import (
     derivative_norm_via_functionals,
@@ -309,11 +310,10 @@ def _ref_difference_matrix(F, x, y):
     )
 
 
-def _ref_slices(F, L, seed, pairs, n_functionals=8, radius=5.0, seen=None):
-    """The pair-by-pair slices loop, with its two per-pair checks each
-    building the difference matrix; the 1000 sup functionals are drawn
-    whatever the matrix, as the chunked command draws them.  seen, when
-    given, collects each transfer pair's x, y and sup functionals."""
+def _ref_slices(F, L, seed, pairs, radius=5.0, seen=None):
+    """The pair-by-pair slices loop, running each pair alone through the
+    same kernels.  seen, when given, collects each transfer pair's x, y
+    and norming functional u_1."""
     rng = stream_rng(seed, STREAM_CHECKS, 2)
     sampler = DomainSampler(F.dim_in, radius)
     worst_rel = worst_lin = 0.0
@@ -330,30 +330,20 @@ def _ref_slices(F, L, seed, pairs, n_functionals=8, radius=5.0, seen=None):
         scale = max(norm2(rec), 1.0)
         worst_lin = max(worst_lin, norm2(add) / scale, norm2(hom) / scale)
     worst_transfer, worst_realization = -np.inf, np.inf
-    k = n_functionals * 8
     for _ in range(pairs):
         x = sampler.gaussian(rng)
         y = sampler.gaussian(rng)
         dist = norm2(x - y)
         if dist < 1e-9:
             continue
-        d = _ref_difference_matrix(F, x, y)
-        ycoeffs = unit_functional_set(F.dim_out, k, rng)
-        hs = rng.standard_normal((max(k, 1), F.dim_in))
-        hs /= np.maximum(np.sqrt(np.einsum("ij,ij->i", hs, hs)), 1e-300)[:, None]
-        nrm = max(float((ycoeffs @ d @ hs.T).max()), float(np.linalg.norm(d, 2)))
-        worst_transfer = max(worst_transfer, nrm - (max(L, 1e-9) * dist * (1.0 + 1e-3) + 1e-8))
-        d = _ref_difference_matrix(F, x, y)
-        refined = float(np.linalg.norm(d, 2))
-        ycoeffs = unit_functional_set(F.dim_out, 1000, rng)
+        u, s, _ = np.linalg.svd(_ref_difference_matrix(F, x, y))
+        worst_transfer = max(worst_transfer, s[0] - (max(L, 1e-9) * dist * (1.0 + 1e-3) + 1e-8))
         if seen is not None:
-            seen.append((x, y, ycoeffs))
-        if refined <= 1e-8:
-            ratio = 1.0
-        else:
-            ratio = float(np.sqrt(np.einsum("ij,ij->i", ycoeffs @ d, ycoeffs @ d)).max() / refined)
+            seen.append((x, y, u[:, 0]))
+        grad_diff = u[:, 0] @ (fd_jacobian(F, x) - fd_jacobian(F, y))
+        ratio = 1.0 if s[0] <= 1e-8 else norm2(grad_diff) / s[0]
         worst_realization = min(worst_realization, ratio)
-    return worst_rel, worst_lin, worst_transfer, worst_realization
+    return worst_rel, worst_lin, float(worst_transfer), float(worst_realization)
 
 
 class TestStackedFdKernels:
@@ -395,7 +385,8 @@ class TestStackedFdKernels:
 
 class TestSlicesStreamOrder:
     """The chunked slices command reports what the pair-by-pair loop
-    does, at a pair count that is no multiple of the chunk size."""
+    does, at a pair count that is no multiple of the chunk size: one
+    chunk at the default budget, several at 64 entries per chunk."""
 
     CASES = {
         "sc2": (["separable_cubic", "--params", "3", "1"], 3.0),
@@ -415,40 +406,52 @@ class TestSlicesStreamOrder:
                 r["worst_transfer_excess"], r["min_functional_sup_realization"])
 
     @pytest.mark.parametrize("name", CASES)
-    def test_matches_pair_by_pair_loop(self, name, tmp_path):
+    def test_matches_pair_by_pair_loop(self, name, tmp_path, monkeypatch):
         argv, L = self.CASES[name]
         params = [float(p) for p in argv[2:]]
         F = as_vector_oracle(builtin(argv[0], params))
-        assert self._run(name, tmp_path) == _ref_slices(F, L, 7, 37)
+        want = _ref_slices(F, L, 7, 37)
+        assert self._run(name, tmp_path) == want
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", 64)
+        assert self._run(name, tmp_path) == want
 
     def test_every_pair_in_stream_order(self, tmp_path, monkeypatch):
         # the reported extremes can miss a dropped or reordered pair, so
-        # record what the chunks pass to the kernels
+        # record what the chunks pass to the kernels: 16 pairs of m d = 64
+        # entries per chunk
         import hessfree.cli as cli
 
+        monkeypatch.setattr(vecspace, "_CHUNK_ELEMENTS", 16 * 64)
         got = []
 
         def diffs(F, xs, ys, _orig=cli.difference_matrix):
             got.append([xs, ys])
             return _orig(F, xs, ys)
 
-        def sups(diff, functionals, norms, _orig=cli.functional_sup_ratio):
-            got[-1].append(functionals.copy())  # a view of a reused buffer
-            return _orig(diff, functionals, norms)
+        def sups(grad_diffs, functionals, norms, _orig=cli.functional_sup_ratio):
+            got[-1] += [functionals[:, 0], (functionals @ grad_diffs)[:, 0]]
+            return _orig(grad_diffs, functionals, norms)
 
         monkeypatch.setattr(cli, "difference_matrix", diffs)
         monkeypatch.setattr(cli, "functional_sup_ratio", sups)
         self._run("sc8", tmp_path)
+        F = as_vector_oracle(builtin("separable_cubic", [3, 1, 0.5, 2, 1, 1, 0.25, 1.5]))
         seen = []
-        _ref_slices(as_vector_oracle(builtin("separable_cubic", [3, 1, 0.5, 2, 1, 1, 0.25, 1.5])),
-                    3.0, 7, 37, seen=seen)
-        assert [len(xs) for xs, _, _ in got] == [16, 16, 5]
+        _ref_slices(F, 3.0, 7, 37, seen=seen)
+        assert [len(chunk[0]) for chunk in got] == [16, 16, 5]
         for k, want in enumerate(zip(*seen)):
             np.testing.assert_array_equal(np.concatenate([chunk[k] for chunk in got]), want)
+        # u_1^T (J(x) - J(y)) is the FD gradient difference of the slice
+        # <u_1, F>, up to rounding
+        routes = np.concatenate([chunk[3] for chunk in got])
+        for (x, y, u1), route in zip(seen, routes):
+            grad = slice_gradient_map(F, u1)
+            want = grad(x) - grad(y)
+            assert norm2(route - want) <= 1e-9 * norm2(want)
 
     def test_zero_matrix_pin(self, tmp_path):
-        # the 1000 sup functionals are drawn for a zero difference matrix
-        # too, so the stream depends on the seed and budget only; skipping
-        # that draw for a zero matrix gave -0.019527280552757927 here
+        # sigma_1 = 0 at every pair, so the realization reads 1 whatever
+        # u_1 the SVD returns, and the transfer excess is minus the bound
+        # at the closest pair
         got = self._run("constant", tmp_path, seed=42, pairs=40)
-        assert got == (0.0, 0.0, -0.0813065243007208, 1.0)
+        assert got == (0.0, 0.0, -0.2631614054630779, 1.0)
